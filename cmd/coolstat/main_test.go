@@ -77,12 +77,18 @@ func TestRun(t *testing.T) {
 		t.Errorf("-slow output missing section:\n%s", got)
 	}
 
-	// -watch: one round of the live delta view; calls issued between the two
-	// polls must appear as non-zero rates and percentiles.
-	done := make(chan struct{})
+	// -watch: the live delta view; calls issued between two polls must
+	// appear as non-zero rates and percentiles. The pinger runs until the
+	// watch is over, so every interval sees traffic however the polls land.
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 10; i++ {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			if err := obj.Invoke("ping", nil, nil); err != nil {
 				t.Errorf("watch ping: %v", err)
 				return
@@ -90,10 +96,12 @@ func TestRun(t *testing.T) {
 		}
 	}()
 	out.Reset()
-	if err := run(&out, []string{"-watch", "20ms", "-watch-rounds", "3", "-ior-file", iorFile}); err != nil {
+	err = run(&out, []string{"-watch", "20ms", "-watch-rounds", "3", "-ior-file", iorFile})
+	close(stop)
+	<-done
+	if err != nil {
 		t.Fatalf("run -watch: %v", err)
 	}
-	<-done
 	got = out.String()
 	for _, want := range []string{
 		"orb.server.requests{op=ping}",

@@ -57,7 +57,6 @@ func run(args []string) error {
 	loadPayload := fs.Int("load-payload", 256, "load: echo payload octets")
 	loadDur := fs.Duration("load-duration", 2*time.Second, "load: measurement window")
 	loadRate := fs.Int("load-rate", 0, "load: open-loop arrivals per second (0 = closed loop)")
-	loadStripes := fs.Int("load-stripes", 0, "load: connection stripes per endpoint (0 = ORB default)")
 	loadMaxInFlight := fs.Int("load-maxinflight", 0, "load: per-connection in-flight cap (0 = ORB default)")
 	loadJSON := fs.Bool("load-json", false, "load/pipeline: emit the result as JSON instead of a table")
 	if err := fs.Parse(args); err != nil {
@@ -86,7 +85,6 @@ func run(args []string) error {
 		Payload:     *loadPayload,
 		Duration:    *loadDur,
 		RatePerSec:  *loadRate,
-		Stripes:     *loadStripes,
 		MaxInFlight: *loadMaxInFlight,
 	}
 	runs := map[string]func() error{
@@ -344,9 +342,9 @@ func runLoad(opts experiments.LoadOptions, asJSON bool) error {
 		return enc.Encode(res)
 	}
 	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "mode\tconc\tstripes\treqs\terrs\tdropped\treq/s\tp50\tp95\tp99\tflush mean/p99\tflow p99\t")
-	fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%.0f\t%dµs\t%dµs\t%dµs\t%.1f/%d\t%dµs\t\n",
-		res.Mode, res.Conc, res.Stripes, res.Requests, res.Errors, res.Dropped, res.Throughput,
+	fmt.Fprintln(w, "mode\tconc\treqs\terrs\tdropped\treq/s\tp50\tp95\tp99\tflush mean/p99\tflow p99\t")
+	fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.0f\t%dµs\t%dµs\t%dµs\t%.1f/%d\t%dµs\t\n",
+		res.Mode, res.Conc, res.Requests, res.Errors, res.Dropped, res.Throughput,
 		res.P50us, res.P95us, res.P99us, res.FlushBatchMean, res.FlushBatchP99, res.FlowWaitP99us)
 	w.Flush()
 	return nil
@@ -374,7 +372,7 @@ func runPipeline(quick, asJSON bool) error {
 	fmt.Fprintf(w, "%dms\t%d\t%d\t%.1f\t%.1f\t%.1f×\t%d\t\n",
 		res.RTTms, res.Conc, res.Invocations, res.SequentialRPS, res.PipelinedRPS, res.Speedup, res.FlushBatchP99)
 	w.Flush()
-	fmt.Printf("\n   (one striped connection; concurrent callers overlap RTTs and share writev batches)\n")
+	fmt.Printf("\n   (one shared connection; concurrent callers overlap RTTs and share writev batches)\n")
 	return nil
 }
 

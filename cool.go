@@ -105,7 +105,6 @@ var (
 	WithKey            = orb.WithKey
 	WithInlineDispatch = orb.WithInlineDispatch
 	WithMaxInFlight    = orb.WithMaxInFlight
-	WithConnStripes    = orb.WithConnStripes
 	// WithSlowCallThreshold is re-exported in stats.go next to the other
 	// observability surface.
 )

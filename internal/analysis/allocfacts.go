@@ -626,7 +626,7 @@ func allocSanctioned(prog *Program, callee types.Object) bool {
 	if intrinsicAcquireKind(callee) != "" || intrinsicReleaseKind(callee) != "" {
 		return true
 	}
-	if isFunc(callee, "cool/internal/giop", "internOp") {
+	if isFunc(callee, "cool/internal/giop", "InternOp") {
 		return true
 	}
 	if isMethod(callee, "sync", "Get") || isMethod(callee, "sync", "Put") {

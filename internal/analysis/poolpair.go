@@ -15,7 +15,7 @@ import (
 //	cdr.AcquireEncoder            (encoder)
 //	giop.AcquireMessage           (message)
 //	giop.UnmarshalPooled          (message; nil on error)
-//	method UnmarshalPooled        (message; the pooledCodec contract)
+//	method UnmarshalPooled        (message; the orb.Codec contract)
 //	bufpool.Get                   (buffer)
 //	same-package functions annotated //coollint:acquires <kind>
 //

@@ -124,8 +124,8 @@ func (r *reader) rest() []byte { return r.buf[r.pos:] }
 // through discard instead.
 //
 //coollint:acquires buffer
-func start(version byte, t giop.MsgType) *writer {
-	w := &writer{buf: bufpool.Get(64)}
+func start(version byte, t giop.MsgType) writer {
+	w := writer{buf: bufpool.Get(64)}
 	w.buf = append(w.buf, magic[:]...)
 	w.u8(version)
 	w.u8(byte(t))
@@ -244,9 +244,10 @@ func (Codec) MarshalCloseConnection() ([]byte, error) {
 	return w.buf, nil
 }
 
-// Unmarshal implements the codec interface, producing the shared
-// giop.Message representation with a standalone body.
-func (Codec) Unmarshal(frame []byte) (*giop.Message, error) {
+// UnmarshalPooled implements the codec interface, decoding into a pooled
+// giop.Message (the shared representation, with a standalone body) that
+// takes ownership of frame on success; on error the caller keeps it.
+func (Codec) UnmarshalPooled(frame []byte) (*giop.Message, error) {
 	if len(frame) < headerLen || [4]byte(frame[:4]) != magic {
 		return nil, ErrBadFrame
 	}
@@ -258,108 +259,107 @@ func (Codec) Unmarshal(frame []byte) (*giop.Message, error) {
 	if t > giop.MsgMessageError {
 		return nil, fmt.Errorf("%w: message type %d", ErrBadFrame, frame[5])
 	}
-	m := &giop.Message{Header: giop.Header{Type: t}}
+	m := giop.AcquireMessage()
+	m.Prepare(t, frame)
+	if err := decodeInto(m, version, frame); err != nil {
+		m.Prepare(t, nil)
+		giop.ReleaseMessage(m)
+		return nil, err
+	}
+	return m, nil
+}
+
+// ReleaseMessage implements the codec interface: the message and its frame
+// return to their pools.
+func (Codec) ReleaseMessage(m *giop.Message) { giop.ReleaseMessage(m) }
+
+// decodeInto fills the header storage Prepare aimed m at, and the body.
+func decodeInto(m *giop.Message, version byte, frame []byte) error {
 	r := &reader{buf: frame, pos: headerLen}
-	switch t {
+	var err error
+	switch m.Header.Type {
 	case giop.MsgRequest:
-		var hdr giop.RequestHeader
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
+		hdr := m.Request
+		if hdr.RequestID, err = r.u32(); err != nil {
+			return err
 		}
-		hdr.RequestID = id
 		flags, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		hdr.ResponseExpected = flags&1 != 0
 		if hdr.ObjectKey, err = r.blob16(); err != nil {
-			return nil, err
+			return err
 		}
 		op, err := r.blob16()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		hdr.Operation = string(op)
+		hdr.Operation = giop.InternOp(op)
 		if hdr.Principal, err = r.blob16(); err != nil {
-			return nil, err
+			return err
 		}
 		if version == verQoS {
 			n, err := r.u16()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if int(n)*16 > len(r.rest()) {
-				return nil, fmt.Errorf("%w: qos count %d", ErrBadFrame, n)
+				return fmt.Errorf("%w: qos count %d", ErrBadFrame, n)
 			}
 			for i := 0; i < int(n); i++ {
 				var p qos.Parameter
 				var v uint32
 				if v, err = r.u32(); err != nil {
-					return nil, err
+					return err
 				}
 				p.Type = qos.ParamType(v)
 				if p.Request, err = r.u32(); err != nil {
-					return nil, err
+					return err
 				}
 				if v, err = r.u32(); err != nil {
-					return nil, err
+					return err
 				}
 				p.Max = int32(v)
 				if v, err = r.u32(); err != nil {
-					return nil, err
+					return err
 				}
 				p.Min = int32(v)
 				hdr.QoS = append(hdr.QoS, p)
 			}
 		}
-		m.Request = &hdr
 	case giop.MsgReply:
-		var hdr giop.ReplyHeader
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
+		if m.Reply.RequestID, err = r.u32(); err != nil {
+			return err
 		}
-		hdr.RequestID = id
 		st, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		hdr.Status = giop.ReplyStatus(st)
-		m.Reply = &hdr
+		m.Reply.Status = giop.ReplyStatus(st)
 	case giop.MsgCancelRequest:
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
+		if m.CancelRequest.RequestID, err = r.u32(); err != nil {
+			return err
 		}
-		m.CancelRequest = &giop.CancelRequestHeader{RequestID: id}
 	case giop.MsgLocateRequest:
-		var hdr giop.LocateRequestHeader
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
+		if m.LocateRequest.RequestID, err = r.u32(); err != nil {
+			return err
 		}
-		hdr.RequestID = id
-		if hdr.ObjectKey, err = r.blob16(); err != nil {
-			return nil, err
+		if m.LocateRequest.ObjectKey, err = r.blob16(); err != nil {
+			return err
 		}
-		m.LocateRequest = &hdr
 	case giop.MsgLocateReply:
-		var hdr giop.LocateReplyHeader
-		id, err := r.u32()
-		if err != nil {
-			return nil, err
+		if m.LocateReply.RequestID, err = r.u32(); err != nil {
+			return err
 		}
-		hdr.RequestID = id
 		st, err := r.u8()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		hdr.Status = giop.LocateStatus(st)
-		m.LocateReply = &hdr
+		m.LocateReply.Status = giop.LocateStatus(st)
 	case giop.MsgCloseConnection, giop.MsgMessageError:
 		// empty
 	}
 	m.Body = r.rest()
-	return m, nil
+	return nil
 }

@@ -34,7 +34,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := codec.Unmarshal(frame)
+		m, err := codec.UnmarshalPooled(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := codec.Unmarshal(frame)
+	m, err := codec.UnmarshalPooled(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := codec.Unmarshal(cancel)
+	m, err := codec.UnmarshalPooled(cancel)
 	if err != nil || m.CancelRequest == nil || m.CancelRequest.RequestID != 5 {
 		t.Fatalf("cancel = %+v, %v", m, err)
 	}
@@ -110,7 +110,7 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err = codec.Unmarshal(lr)
+	m, err = codec.UnmarshalPooled(lr)
 	if err != nil || m.LocateRequest == nil || string(m.LocateRequest.ObjectKey) != "key" {
 		t.Fatalf("locate request = %+v, %v", m, err)
 	}
@@ -119,7 +119,7 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err = codec.Unmarshal(lrep)
+	m, err = codec.UnmarshalPooled(lrep)
 	if err != nil || m.LocateReply == nil || m.LocateReply.Status != giop.LocateObjectHere {
 		t.Fatalf("locate reply = %+v, %v", m, err)
 	}
@@ -128,7 +128,7 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err = codec.Unmarshal(me)
+	m, err = codec.UnmarshalPooled(me)
 	if err != nil || m.Header.Type != giop.MsgMessageError {
 		t.Fatalf("message error = %+v, %v", m, err)
 	}
@@ -145,7 +145,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		append([]byte("COOL\x01\x00\x01\x00\x00\x00\x01"), 0xFF, 0xFF), // huge key length
 	}
 	for i, frame := range bad {
-		if _, err := codec.Unmarshal(frame); err == nil {
+		if _, err := codec.UnmarshalPooled(frame); err == nil {
 			t.Errorf("frame %d accepted", i)
 		}
 	}
@@ -153,8 +153,8 @@ func TestUnmarshalErrors(t *testing.T) {
 
 func TestQuickUnmarshalNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
-		codec.Unmarshal(data)
-		codec.Unmarshal(append([]byte("COOL"), data...))
+		codec.UnmarshalPooled(data)
+		codec.UnmarshalPooled(append([]byte("COOL"), data...))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
@@ -180,7 +180,7 @@ func TestQuickRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m, err := codec.Unmarshal(frame)
+		m, err := codec.UnmarshalPooled(frame)
 		if err != nil {
 			return false
 		}
@@ -209,7 +209,7 @@ func BenchmarkCoolVsGIOPMarshal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := codec.Unmarshal(frame); err != nil {
+			if _, err := codec.UnmarshalPooled(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

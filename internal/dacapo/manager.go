@@ -391,9 +391,8 @@ func (c *qchannel) WriteMessage(p []byte) error {
 	return rt.Send(p)
 }
 
-// WriteMessages sends a batch of frames through the stack in one pass
-// (transport.BatchChannel); the orb combiner uses this for vectored
-// flushes.
+// WriteMessages sends a batch of frames through the stack in one pass;
+// the orb combiner uses this for vectored flushes.
 func (c *qchannel) WriteMessages(frames [][]byte) error {
 	rt, err := c.runtime()
 	if err != nil {

@@ -178,7 +178,7 @@ func (c *Context) EmitUp(p *Packet) error {
 // Drop records an absorbed packet (failed checksum, duplicate, ACK).
 func (c *Context) Drop(p *Packet) {
 	atomic.AddUint64(&c.drops, 1)
-	putPacket(p)
+	PutPacket(p)
 }
 
 // After schedules ev for delivery to this module's HandleEvent after d.
@@ -196,9 +196,6 @@ func (c *Context) Post(ev any) {
 	c.mustBlock("Post")
 	c.rt.postEvent(c, ev)
 }
-
-// Pool returns the shared packet pool.
-func (c *Context) Pool() *Pool { return &sharedPool }
 
 // Factory builds a module instance from its spec arguments.
 type Factory func(args Args) (Module, error)

@@ -91,7 +91,7 @@ func (m *irq) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 		if m.awaiting && seq == m.sendSeq {
 			m.stopTimer()
 			m.awaiting = false
-			ctx.Pool().Put(m.outstanding)
+			dacapo.PutPacket(m.outstanding)
 			m.outstanding = nil
 			m.sendSeq++
 			ctx.ResumeDown()
@@ -143,7 +143,7 @@ func (m *irq) HandleEvent(ctx *dacapo.Context, ev any) error {
 func (m *irq) Stop(ctx *dacapo.Context) error {
 	m.stopTimer()
 	if m.outstanding != nil {
-		ctx.Pool().Put(m.outstanding)
+		dacapo.PutPacket(m.outstanding)
 		m.outstanding = nil
 	}
 	return nil
@@ -157,7 +157,7 @@ func (m *irq) stopTimer() {
 }
 
 func sendAck(ctx *dacapo.Context, seq uint32) error {
-	ack := ctx.Pool().Get(nil)
+	ack := dacapo.GetPacket(nil)
 	putArqHdr(ack.Prepend(arqHdrLen), arqAck, seq)
 	return ctx.EmitDown(ack)
 }
@@ -274,7 +274,7 @@ func (m *window) handleAck(ctx *dacapo.Context, ack uint32) {
 	}
 	for s := m.base; s <= ack; s++ {
 		if pkt, ok := m.buf[s]; ok {
-			ctx.Pool().Put(pkt)
+			dacapo.PutPacket(pkt)
 			delete(m.buf, s)
 		}
 	}
@@ -314,7 +314,7 @@ func (m *window) HandleEvent(ctx *dacapo.Context, ev any) error {
 func (m *window) Stop(ctx *dacapo.Context) error {
 	m.stopTimer()
 	for s, pkt := range m.buf {
-		ctx.Pool().Put(pkt)
+		dacapo.PutPacket(pkt)
 		delete(m.buf, s)
 	}
 	return nil

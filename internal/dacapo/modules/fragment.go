@@ -63,7 +63,7 @@ func (m *fragment) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 	for idx := 0; idx < count; idx++ {
 		lo := idx * chunk
 		hi := min(lo+chunk, len(data))
-		fp := ctx.Pool().Get(data[lo:hi])
+		fp := dacapo.GetPacket(data[lo:hi])
 		hdr := fp.Prepend(fragHdrLen)
 		binary.BigEndian.PutUint32(hdr[0:4], id)
 		binary.BigEndian.PutUint16(hdr[4:6], uint16(idx))
@@ -72,7 +72,7 @@ func (m *fragment) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 			return err
 		}
 	}
-	ctx.Pool().Put(p)
+	dacapo.PutPacket(p)
 	return nil
 }
 
@@ -121,10 +121,10 @@ func (m *fragment) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 	for _, part := range g.parts {
 		total += part.Len()
 	}
-	whole := ctx.Pool().GetSized(total)
+	whole := dacapo.GetPacketSized(total)
 	for i, part := range g.parts {
 		whole.Append(part.Bytes())
-		ctx.Pool().Put(part)
+		dacapo.PutPacket(part)
 		g.parts[i] = nil
 	}
 	return ctx.EmitUp(whole)
@@ -155,7 +155,7 @@ func (m *fragment) Stop(ctx *dacapo.Context) error {
 func releaseParts(ctx *dacapo.Context, g *fragGroup) {
 	for i, part := range g.parts {
 		if part != nil {
-			ctx.Pool().Put(part)
+			dacapo.PutPacket(part)
 			g.parts[i] = nil
 		}
 	}

@@ -50,7 +50,7 @@ func (m *rateLimit) Blocking() {}
 
 func (m *rateLimit) Stop(ctx *dacapo.Context) error {
 	if m.waiting != nil {
-		ctx.Pool().Put(m.waiting)
+		dacapo.PutPacket(m.waiting)
 		m.waiting = nil
 	}
 	return nil

@@ -49,6 +49,15 @@ func (c *hookChannel) WriteMessage(p []byte) error {
 	return nil
 }
 
+func (c *hookChannel) WriteMessages(frames [][]byte) error {
+	for _, p := range frames {
+		if err := c.WriteMessage(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (c *hookChannel) ReadMessage() ([]byte, error) {
 	select {
 	case m := <-c.recv:

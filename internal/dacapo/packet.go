@@ -61,11 +61,14 @@ type Packet struct {
 // through bufpool so header reuse never pins payload memory.
 var hdrPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// getPacketSized returns a pooled packet with headroom and capacity for at
-// least size payload octets; the payload starts empty.
-func getPacketSized(size int) *Packet {
+// GetPacketSized returns a pooled packet with headroom and capacity for at
+// least size payload octets; the payload starts empty, for callers that
+// assemble it with Append (reassembly).
+//
+//coollint:allocator pooled packet acquisition; storage comes from bufpool
+func GetPacketSized(size int) *Packet {
 	p := hdrPool.Get().(*Packet)
-	p.buf = bufpool.Get(defaultHeadroom + size) //coollint:owner packet owns the buffer; putPacket returns it to the arena
+	p.buf = bufpool.Get(defaultHeadroom + size) //coollint:owner packet owns the buffer; PutPacket returns it to the arena
 	p.buf = p.buf[:cap(p.buf)]
 	p.off = defaultHeadroom
 	p.end = defaultHeadroom
@@ -73,9 +76,11 @@ func getPacketSized(size int) *Packet {
 	return p
 }
 
-// getPacket returns a pooled packet with the payload copied in.
-func getPacket(payload []byte) *Packet {
-	p := getPacketSized(len(payload))
+// GetPacket returns a pooled packet with the payload copied in.
+//
+//coollint:allocator pooled packet acquisition; storage comes from bufpool
+func GetPacket(payload []byte) *Packet {
+	p := GetPacketSized(len(payload))
 	p.end = p.off + copy(p.buf[p.off:], payload)
 	return p
 }
@@ -105,9 +110,11 @@ func wrapBorrowed(data []byte) *Packet {
 	return p
 }
 
-// putPacket releases a packet: the buffer returns to the arena (when
+// PutPacket releases a packet: the buffer returns to the arena (when
 // owned) and the header to the header pool.
-func putPacket(p *Packet) {
+//
+//coollint:allocator pooled packet release
+func PutPacket(p *Packet) {
 	if p == nil {
 		return
 	}
@@ -231,32 +238,7 @@ func (p *Packet) SetPayload(b []byte) {
 
 // Clone returns an independent pooled copy of the packet.
 func (p *Packet) Clone() *Packet {
-	c := getPacketSized(p.Len())
+	c := GetPacketSized(p.Len())
 	c.end = c.off + copy(c.buf[c.off:], p.Bytes())
 	return c
 }
-
-// Pool recycles packets — the shared-memory packet pool of the original
-// implementation, now a stateless facade over the process-wide header pool
-// and the bufpool arena. The zero value is ready to use and every Pool
-// shares the same storage.
-type Pool struct{}
-
-// sharedPool is the instance handed to modules via Context.Pool.
-var sharedPool Pool
-
-// Get returns a packet with the payload copied in.
-//
-//coollint:allocator pooled packet acquisition; storage comes from bufpool
-func (Pool) Get(payload []byte) *Packet { return getPacket(payload) }
-
-// GetSized returns an empty packet with capacity for at least size payload
-// octets, for callers that assemble the payload with Append (reassembly).
-//
-//coollint:allocator pooled packet acquisition; storage comes from bufpool
-func (Pool) GetSized(size int) *Packet { return getPacketSized(size) }
-
-// Put returns a packet to the pool.
-//
-//coollint:allocator pooled packet release
-func (Pool) Put(p *Packet) { putPacket(p) }

@@ -93,17 +93,17 @@ func TestPacketSetPayload(t *testing.T) {
 }
 
 func TestPoolRecycles(t *testing.T) {
-	var pool Pool
-	p := pool.Get([]byte("abc"))
+	p := GetPacket([]byte("abc"))
 	if string(p.Bytes()) != "abc" {
 		t.Fatalf("payload = %q", p.Bytes())
 	}
-	pool.Put(p)
-	q := pool.Get([]byte("defg"))
+	PutPacket(p)
+	q := GetPacket([]byte("defg"))
 	if string(q.Bytes()) != "defg" {
 		t.Fatalf("recycled payload = %q", q.Bytes())
 	}
-	pool.Put(nil) // must not panic
+	PutPacket(q)
+	PutPacket(nil) // must not panic
 }
 
 // Property: prepend(n) followed by strip(n) restores the payload for any
@@ -154,11 +154,9 @@ func BenchmarkPacketPrependStrip(b *testing.B) {
 }
 
 func BenchmarkPoolGetPut(b *testing.B) {
-	var pool Pool
 	payload := bytes.Repeat([]byte{1}, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p := pool.Get(payload)
-		pool.Put(p)
+		PutPacket(GetPacket(payload))
 	}
 }

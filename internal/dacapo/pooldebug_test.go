@@ -16,31 +16,31 @@ import (
 func TestPacketLeakIsReported(t *testing.T) {
 	bufpool.DebugReset()
 
-	p := getPacket([]byte("held hostage"))
+	p := GetPacket([]byte("held hostage"))
 
 	leaks := bufpool.Leaks()
 	if len(leaks) == 0 {
 		t.Fatal("pooldebug reported no leaks despite an unreleased packet")
 	}
 	joined := strings.Join(leaks, "\n")
-	if !strings.Contains(joined, "leaked buffer") || !strings.Contains(joined, "getPacketSized") {
+	if !strings.Contains(joined, "leaked buffer") || !strings.Contains(joined, "GetPacketSized") {
 		t.Fatalf("leak report does not point at the packet acquisition:\n%s", joined)
 	}
 
-	putPacket(p)
+	PutPacket(p)
 	if rest := bufpool.Leaks(); len(rest) != 0 {
-		t.Fatalf("leaks remain after putPacket:\n%s", strings.Join(rest, "\n"))
+		t.Fatalf("leaks remain after PutPacket:\n%s", strings.Join(rest, "\n"))
 	}
 }
 
 // TestPacketDoubleReleaseIsDoubleFree: the packet's backing buffer belongs
-// to the arena after putPacket; a second release of the same storage trips
+// to the arena after PutPacket; a second release of the same storage trips
 // the verifier.
 func TestPacketDoubleReleaseIsDoubleFree(t *testing.T) {
 	bufpool.DebugReset()
-	p := getPacketSized(8)
+	p := GetPacketSized(8)
 	buf := p.buf
-	putPacket(p)
+	PutPacket(p)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("second release of the packet buffer did not panic")
@@ -54,7 +54,7 @@ func TestPacketDoubleReleaseIsDoubleFree(t *testing.T) {
 // round-trip still matches the ledger entry.
 func TestHeaderMovesKeepLedgerBase(t *testing.T) {
 	bufpool.DebugReset()
-	p := getPacket([]byte("payload"))
+	p := GetPacket([]byte("payload"))
 	hdr := p.Prepend(16)
 	for i := range hdr {
 		hdr[i] = byte(i)
@@ -62,7 +62,7 @@ func TestHeaderMovesKeepLedgerBase(t *testing.T) {
 	if err := p.StripFront(16); err != nil {
 		t.Fatal(err)
 	}
-	putPacket(p)
+	PutPacket(p)
 	if rest := bufpool.Leaks(); len(rest) != 0 {
 		t.Fatalf("ledger mismatch after header round-trip:\n%s", strings.Join(rest, "\n"))
 	}

@@ -78,7 +78,6 @@ func putBatch(bp *[]*Packet) { batchPool.Put(bp) }
 type Runtime struct {
 	reg *Registry
 	tch transport.Channel
-	bch transport.BatchChannel // non-nil when tch supports vectored writes
 
 	threaded bool  // at least one blocking module
 	pumps    []int // indices of blocking stages
@@ -150,7 +149,6 @@ func NewRuntime(spec Spec, reg *Registry, tch transport.Channel) (*Runtime, erro
 		stop:      make(chan struct{}),
 		rcTimeout: defaultReconfigTimeout,
 	}
-	r.bch, _ = transport.AsBatchChannel(tch)
 	r.sendEx = &executor{}
 	r.readEx = &executor{}
 	stages := r.buildStages(modules)
@@ -345,7 +343,7 @@ func (r *Runtime) deliverRecv(p *Packet) error {
 	case r.recvQ <- p:
 		return nil
 	case <-r.stop:
-		putPacket(p)
+		PutPacket(p)
 		return ErrStopped
 	}
 }
@@ -360,7 +358,7 @@ func (r *Runtime) enqueueOne(q chan *[]*Packet, p *Packet) error {
 	case q <- bp:
 		return nil
 	case <-r.stop:
-		putPacket(p)
+		PutPacket(p)
 		(*bp)[0] = nil
 		*bp = (*bp)[:0]
 		putBatch(bp)
@@ -378,7 +376,7 @@ func (r *Runtime) enqueueBatch(q chan *[]*Packet, pkts []*Packet) error {
 		return nil
 	case <-r.stop:
 		for i, p := range *bp {
-			putPacket(p)
+			PutPacket(p)
 			(*bp)[i] = nil
 		}
 		*bp = (*bp)[:0]
@@ -403,7 +401,7 @@ func (r *Runtime) wireOut(p *Packet, ex *executor) error {
 		h.Observe(1) // ungathered write: a flush of one
 	}
 	err := r.tch.WriteMessage(p.Bytes())
-	putPacket(p)
+	PutPacket(p)
 	if err != nil {
 		return fmt.Errorf("dacapo: transport write: %w", err)
 	}
@@ -457,14 +455,13 @@ func clearPackets(b *[]*Packet) {
 func (r *Runtime) releaseExec(ex *executor) {
 	for _, b := range [][]*Packet{ex.outDown, ex.outUp, ex.outRecv, ex.wire} {
 		for _, p := range b {
-			putPacket(p)
+			PutPacket(p)
 		}
 	}
 	ex.outDown, ex.outUp, ex.outRecv, ex.wire = ex.outDown[:0], ex.outUp[:0], ex.outRecv[:0], ex.wire[:0]
 }
 
-// flushWire writes the executor's gathered wire frames, vectored when the
-// transport supports it.
+// flushWire writes the executor's gathered wire frames as one batch.
 //
 //coollint:hotpath vectored wire flush
 func (r *Runtime) flushWire(ex *executor) error {
@@ -472,26 +469,15 @@ func (r *Runtime) flushWire(ex *executor) error {
 	if h := r.wireHist.Load(); h != nil {
 		h.Observe(uint64(len(pkts)))
 	}
-	var err error
-	if r.bch != nil && len(pkts) > 1 {
-		frames := r.wireFrames[:0]
-		for _, p := range pkts {
-			frames = append(frames, p.Bytes()) //coollint:allocok growth lands in the reused r.wireFrames backing, amortized across flushes
-		}
-		err = r.bch.WriteMessages(frames)
-		for i := range frames {
-			frames[i] = nil // drop aliases before the buffers are recycled
-		}
-		r.wireFrames = frames[:0]
-	} else {
-		for _, p := range pkts {
-			if err == nil {
-				err = r.tch.WriteMessage(p.Bytes())
-			}
-		}
+	frames := r.wireFrames[:0]
+	for _, p := range pkts {
+		frames = append(frames, p.Bytes()) //coollint:allocok growth lands in the reused r.wireFrames backing, amortized across flushes
 	}
+	err := r.tch.WriteMessages(frames)
+	clear(frames) // drop aliases before the buffers are recycled
+	r.wireFrames = frames
 	for i, p := range pkts {
-		putPacket(p)
+		PutPacket(p)
 		ex.wire[i] = nil
 	}
 	ex.wire = ex.wire[:0]
@@ -520,7 +506,7 @@ func (r *Runtime) sendLocked(data []byte) error {
 	}
 	var p *Packet
 	if r.threaded {
-		p = getPacket(data)
+		p = GetPacket(data)
 	} else {
 		p = wrapBorrowed(data)
 	}
@@ -556,7 +542,7 @@ func (r *Runtime) SendBatch(frames [][]byte) error {
 	for _, f := range frames {
 		var p *Packet
 		if r.threaded {
-			p = getPacket(f)
+			p = GetPacket(f)
 		} else {
 			p = wrapBorrowed(f)
 		}
@@ -675,14 +661,14 @@ func (r *Runtime) detach(p *Packet) []byte {
 	if p.owned && p.off == 0 {
 		out := p.buf[:p.end]
 		p.owned = false
-		putPacket(p)
+		PutPacket(p)
 		return out
 	}
 	n := p.Len()
 	b := bufpool.Get(n)
 	out := b[:n]
 	copy(out, p.Bytes())
-	putPacket(p)
+	PutPacket(p)
 	return out
 }
 
@@ -749,7 +735,7 @@ func (r *Runtime) runPump(s *stage) {
 	//coollint:allocok one closure per pump lifetime, not per packet
 	exit := func() {
 		for _, p := range pending[head:] {
-			putPacket(p)
+			PutPacket(p)
 		}
 		r.releaseExec(ex)
 	}
@@ -788,7 +774,7 @@ func (r *Runtime) runPump(s *stage) {
 				batch[i] = nil
 				switch {
 				case err != nil:
-					putPacket(p)
+					PutPacket(p)
 				case ctx.downPaused:
 					pending = append(pending, p) //coollint:allocok paused-intake spill buffer; bounded by queueDepth batches
 				default:
@@ -813,7 +799,7 @@ func (r *Runtime) runPump(s *stage) {
 			for i, p := range batch {
 				batch[i] = nil
 				if err != nil {
-					putPacket(p)
+					PutPacket(p)
 					continue
 				}
 				err = s.mod.HandleUp(ctx, p)
@@ -911,7 +897,7 @@ func (r *Runtime) teardown() {
 	defer r.sendMu.Unlock()
 
 	for _, p := range r.scratch[r.scratchHead:] {
-		putPacket(p)
+		PutPacket(p)
 	}
 	r.scratch = r.scratch[:0]
 	r.scratchHead = 0
@@ -946,7 +932,7 @@ func drainRecvQ(q chan *Packet) {
 	for {
 		select {
 		case p := <-q:
-			putPacket(p)
+			PutPacket(p)
 		default:
 			return
 		}
@@ -965,7 +951,7 @@ func drainBatchQ(q chan *[]*Packet) {
 		select {
 		case bp := <-q:
 			for i, p := range *bp {
-				putPacket(p)
+				PutPacket(p)
 				(*bp)[i] = nil
 			}
 			*bp = (*bp)[:0]

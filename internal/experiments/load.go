@@ -45,8 +45,6 @@ type LoadOptions struct {
 	// RatePerSec switches to open-loop mode: arrivals are generated at
 	// this rate regardless of completions. 0 selects closed loop.
 	RatePerSec int
-	// Stripes is handed to orb.WithConnStripes (0 = default of 1).
-	Stripes int
 	// MaxInFlight is handed to orb.WithMaxInFlight (0 = ORB default).
 	MaxInFlight int
 }
@@ -57,7 +55,6 @@ type LoadResult struct {
 	Transport  string  `json:"transport"`
 	Conc       int     `json:"conc"`
 	Payload    int     `json:"payload_b"`
-	Stripes    int     `json:"stripes"`
 	DurationMS int64   `json:"duration_ms"`
 	Requests   uint64  `json:"requests"`
 	Errors     uint64  `json:"errors"`
@@ -105,9 +102,6 @@ func RunLoad(o LoadOptions) (LoadResult, error) {
 
 	serverOpts := []orb.Option{orb.WithName("load-server")}
 	clientOpts := []orb.Option{orb.WithName("load-client")}
-	if opts.Stripes > 0 {
-		clientOpts = append(clientOpts, orb.WithConnStripes(opts.Stripes))
-	}
 	if opts.MaxInFlight > 0 {
 		clientOpts = append(clientOpts, orb.WithMaxInFlight(opts.MaxInFlight))
 	}
@@ -183,7 +177,6 @@ func RunLoad(o LoadOptions) (LoadResult, error) {
 		Transport:  opts.Transport,
 		Conc:       opts.Conc,
 		Payload:    opts.Payload,
-		Stripes:    max(opts.Stripes, 1),
 		DurationMS: elapsed.Milliseconds(),
 		Requests:   requests.Load(),
 		Errors:     errors.Load(),
@@ -346,7 +339,7 @@ func RunPipelineExperiment(rtt time.Duration, conc, invocations int) (PipelineRe
 	seqElapsed := time.Since(seqStart)
 
 	// Pipelined: conc callers, each its own proxy, sharing the single
-	// cached connection (stripes default to 1).
+	// cached connection.
 	before := client.Metrics().Snapshot()
 	proxies := make([]*orb.Object, conc)
 	for i := range proxies {

@@ -64,16 +64,15 @@ func TestRunLoadOpenLoop(t *testing.T) {
 	}
 }
 
-// TestRunLoadStripesAndCap exercises the striping and flow-control options
-// end to end: more than one stripe, a binding in-flight cap, zero errors.
-func TestRunLoadStripesAndCap(t *testing.T) {
+// TestRunLoadInFlightCap exercises the flow-control option end to end: a
+// binding in-flight cap well below the caller count, zero errors.
+func TestRunLoadInFlightCap(t *testing.T) {
 	res, err := RunLoad(LoadOptions{
 		Transport:   "tcp",
 		Conc:        32,
 		Payload:     64,
 		Duration:    200 * time.Millisecond,
 		Warmup:      50 * time.Millisecond,
-		Stripes:     2,
 		MaxInFlight: 8,
 	})
 	if err != nil {
@@ -81,9 +80,6 @@ func TestRunLoadStripesAndCap(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d errors", res.Errors)
-	}
-	if res.Stripes != 2 {
-		t.Fatalf("stripes = %d, want 2", res.Stripes)
 	}
 	if res.Requests == 0 {
 		t.Fatal("no traffic")

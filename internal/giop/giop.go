@@ -219,8 +219,8 @@ type Message struct {
 	// bodyOffset is the offset of Body within the full message, needed to
 	// resume CDR alignment correctly when decoding.
 	bodyOffset int
-	// frame is the full received frame backing Body (nil for messages
-	// whose Body was set directly, e.g. by non-GIOP codecs).
+	// frame is the full received frame backing Body, recycled with the
+	// message (nil for messages whose Body was set directly).
 	frame []byte
 
 	// Embedded storage reused across decodes of a pooled Message.
@@ -241,12 +241,43 @@ type Message struct {
 // reset on every call, so at most one body decode may be in progress per
 // message, and it must not be used after the message is released.
 func (m *Message) BodyDecoder() *cdr.Decoder {
-	if m.frame != nil {
+	if m.bodyOffset > 0 {
 		m.bodyDec.Reset(m.frame, m.Header.LittleEndian, m.bodyOffset)
 	} else {
 		m.bodyDec.Reset(m.Body, m.Header.LittleEndian, 0)
 	}
 	return &m.bodyDec
+}
+
+// Prepare readies a pooled Message for a frame of type t decoded by a codec
+// outside this package (the COOL protocol): the header pointer for t is
+// aimed at the Message's zeroed embedded storage, so the decode allocates
+// nothing, and the Message takes ownership of frame — ReleaseMessage
+// recycles both. The codec fills the header fields and sets Body to its
+// standalone CDR body (alignment origin at the body start, unlike GIOP's).
+// Prepare(t, nil) detaches the frame again, for a decode that failed.
+func (m *Message) Prepare(t MsgType, frame []byte) {
+	m.Header = Header{Type: t}
+	m.frame, m.bodyOffset = frame, 0
+	switch t {
+	case MsgRequest:
+		// The codec appends to Request.QoS directly, so the array the
+		// previous request decode left behind is the one to reuse.
+		m.reqStore = RequestHeader{QoS: m.reqStore.QoS[:0]}
+		m.Request = &m.reqStore
+	case MsgReply:
+		m.replyStore = ReplyHeader{}
+		m.Reply = &m.replyStore
+	case MsgCancelRequest:
+		m.cancelStore = CancelRequestHeader{}
+		m.CancelRequest = &m.cancelStore
+	case MsgLocateRequest:
+		m.locReqStore = LocateRequestHeader{}
+		m.LocateRequest = &m.locReqStore
+	case MsgLocateReply:
+		m.locRepStore = LocateReplyHeader{}
+		m.LocateReply = &m.locRepStore
+	}
 }
 
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
@@ -576,7 +607,7 @@ func decodeInto(m *Message, frame []byte) error {
 		if op, err = dec.ReadStringBytes(); err != nil {
 			return decodeFail(h.Type, err)
 		}
-		rh.Operation = internOp(op)
+		rh.Operation = InternOp(op)
 		if h.Version.QoSExtended() {
 			if rh.QoS, err = qos.DecodeSetAppend(dec, m.qosStore[:0]); err != nil {
 				return decodeFail(h.Type, err)

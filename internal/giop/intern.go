@@ -16,7 +16,8 @@ var (
 	opTab = make(map[string]string, 64)
 )
 
-func internOp(raw []byte) string {
+// InternOp returns the interned operation name for raw.
+func InternOp(raw []byte) string {
 	opMu.RLock()
 	s, ok := opTab[string(raw)]
 	opMu.RUnlock()

@@ -331,6 +331,17 @@ func (e *Endpoint) WriteMessage(p []byte) error {
 	}
 }
 
+// WriteMessages queues the frames one by one; the simulated device sends
+// one message per transmission.
+func (e *Endpoint) WriteMessages(frames [][]byte) error {
+	for _, p := range frames {
+		if err := e.WriteMessage(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReadMessage returns the next delivered message, or io.EOF once the link
 // is closed and drained.
 func (e *Endpoint) ReadMessage() ([]byte, error) {

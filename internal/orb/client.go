@@ -299,7 +299,7 @@ func (o *Object) buildRequest(b *binding, id uint32, op string, expectReply bool
 	} else {
 		hdr.ServiceContext = hdr.ServiceContext[:0]
 	}
-	frame, err := b.codec.MarshalRequest(hdr, args)
+	frame, err := boundFrame(b.codec.MarshalRequest(hdr, args))
 	hdr.ObjectKey, hdr.QoS, hdr.QoSFrag, hdr.Principal = nil, nil, nil, nil
 	reqHdrPool.Put(hdr)
 	return frame, err
@@ -398,7 +398,7 @@ func (o *Object) invokeOnce(ctx context.Context, op string, args func(*cdr.Encod
 			o.recordCall(b, stats, span, "ok", "")
 			return nil
 		}
-		m, err := codecUnmarshal(b.codec, reply)
+		m, err := b.codec.UnmarshalPooled(reply)
 		if err != nil {
 			transport.PutBuffer(reply)
 			o.recordCall(b, stats, span, "error", err.Error())
@@ -490,7 +490,7 @@ func (o *Object) finishInvoke(b *binding, stats *clientOp, span obs.Span, m *gio
 	} else {
 		err = decodeReply(m, out)
 	}
-	codecRelease(b.codec, m)
+	b.codec.ReleaseMessage(m)
 	outcome, detail, nack := classifyOutcome(err)
 	if nack {
 		o.orb.ins.qosOutcome(mClientQoS, "nack")
@@ -532,9 +532,10 @@ func (o *Object) start(ctx context.Context, op string, args func(*cdr.Encoder), 
 		case reply == nil:
 			p.res = &result{}
 		default:
-			// Unmarshal unpooled: the Pending may retain the reply
-			// indefinitely (bodyDecoder after Wait).
-			m, merr := b.codec.Unmarshal(reply)
+			// Never released, like a remote Pending's reply: the Pending
+			// may retain it indefinitely (bodyDecoder after Wait), so
+			// message and frame are left to the garbage collector.
+			m, merr := b.codec.UnmarshalPooled(reply) //coollint:owner the Pending keeps the reply for its lifetime
 			p.res = &result{m: m, err: merr}
 		}
 		return p, nil
@@ -786,11 +787,11 @@ func (o *Object) Locate() (bool, error) {
 	b.conn.releaseSlot(slot)
 	if m.LocateReply == nil {
 		t := m.Header.Type
-		codecRelease(b.codec, m)
+		b.codec.ReleaseMessage(m)
 		return false, fmt.Errorf("orb: expected LocateReply, got %v", t)
 	}
 	here := m.LocateReply.Status == giop.LocateObjectHere
-	codecRelease(b.codec, m)
+	b.codec.ReleaseMessage(m)
 	return here, nil
 }
 
@@ -940,7 +941,7 @@ func (p *Pending) WaitCtx(ctx context.Context, out func(*cdr.Decoder) error) err
 				p.signalLocked()
 			} else {
 				// Cancel won after the reply was already routed: drop it.
-				codecRelease(p.b.codec, m)
+				p.b.codec.ReleaseMessage(m)
 			}
 		case <-conn.done:
 			var r result
@@ -956,7 +957,7 @@ func (p *Pending) WaitCtx(ctx context.Context, out func(*cdr.Decoder) error) err
 				p.res = &rr
 				p.signalLocked()
 			} else if r.m != nil {
-				codecRelease(p.b.codec, r.m)
+				p.b.codec.ReleaseMessage(r.m)
 			}
 		case <-resolved:
 			p.mu.Lock()
@@ -1027,7 +1028,7 @@ func (p *Pending) Cancel() error {
 	// concurrent Wait may race us to it and drops it the same way.)
 	select {
 	case m := <-slot.ch:
-		codecRelease(p.b.codec, m)
+		p.b.codec.ReleaseMessage(m)
 	default:
 	}
 	frame, err := p.b.codec.MarshalCancelRequest(p.id)

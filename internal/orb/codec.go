@@ -1,8 +1,11 @@
 package orb
 
 import (
+	"fmt"
+
 	"cool/internal/cdr"
 	"cool/internal/giop"
+	"cool/internal/transport"
 )
 
 // Codec is the generic message protocol layer of COOL (Figure 1): the ORB
@@ -34,60 +37,45 @@ type Codec interface {
 	// MarshalCloseConnection encodes the orderly-shutdown notification the
 	// server sends before closing a connection (GIOP CloseConnection).
 	MarshalCloseConnection() ([]byte, error)
-	// Unmarshal decodes one frame.
-	Unmarshal(frame []byte) (*giop.Message, error)
-}
-
-// pooledCodec is an optional extension of Codec for protocols whose
-// decoded messages and frame buffers can be recycled. The ORB hot paths
-// probe for it with a type assertion: when present, frames read from a
-// transport are decoded into pooled messages and handed back (message and
-// frame together) via ReleaseMessage once the ORB is done with them,
-// honouring the transport.Channel buffer-ownership contract without
-// changing the Codec interface.
-type pooledCodec interface {
-	// UnmarshalPooled decodes one frame into a pooled message that takes
-	// ownership of the frame on success (on error the caller keeps it).
+	// UnmarshalPooled decodes one frame read from a transport into a
+	// pooled message that takes ownership of the frame on success (on
+	// error the caller keeps it).
 	UnmarshalPooled(frame []byte) (*giop.Message, error)
-	// ReleaseMessage recycles a message from UnmarshalPooled and its frame.
+	// ReleaseMessage recycles a message from UnmarshalPooled together
+	// with its frame, honouring the transport.Channel buffer-ownership
+	// contract. Safe to call with nil.
 	ReleaseMessage(m *giop.Message)
 }
 
-// codecUnmarshal decodes via the pooled path when the codec supports it.
-//
-//coollint:acquires message
-func codecUnmarshal(c Codec, frame []byte) (*giop.Message, error) {
-	if pc, ok := c.(pooledCodec); ok {
-		return pc.UnmarshalPooled(frame)
-	}
-	return c.Unmarshal(frame)
-}
+// maxFrameSize bounds outbound frames to what every reader accepts: the
+// tcp transport's frame limit and giop.MaxMessageSize are both 64 MiB.
+const maxFrameSize = giop.MaxMessageSize
 
-// codecRelease recycles m (and its frame) if the codec pools messages.
-// Safe to call with any message, including nil.
-//
-//coollint:releases
-func codecRelease(c Codec, m *giop.Message) {
-	if pc, ok := c.(pooledCodec); ok {
-		pc.ReleaseMessage(m)
+// boundFrame wraps a request or reply marshal: a frame over maxFrameSize
+// is recycled and becomes a MARSHAL system exception for its invocation
+// alone. Written out, it would make the peer's reader fail and the shared
+// connection die under every other multiplexed caller.
+func boundFrame(frame []byte, err error) ([]byte, error) {
+	if err == nil && len(frame) > maxFrameSize {
+		n := len(frame)
+		transport.PutBuffer(frame)
+		return nil, fmt.Errorf("orb: frame of %d octets exceeds the %d-octet limit: %w", n, maxFrameSize, giop.MarshalException())
 	}
+	return frame, err
 }
 
 // GIOPCodec is the standard message protocol: GIOP 1.0, upgraded to the
 // QoS-extended 9.9 whenever a request carries QoS parameters (§4.2).
 type GIOPCodec struct{}
 
-var (
-	_ Codec       = GIOPCodec{}
-	_ pooledCodec = GIOPCodec{}
-)
+var _ Codec = GIOPCodec{}
 
-// UnmarshalPooled implements pooledCodec.
+// UnmarshalPooled implements Codec.
 func (GIOPCodec) UnmarshalPooled(frame []byte) (*giop.Message, error) {
 	return giop.UnmarshalPooled(frame)
 }
 
-// ReleaseMessage implements pooledCodec.
+// ReleaseMessage implements Codec.
 func (GIOPCodec) ReleaseMessage(m *giop.Message) {
 	giop.ReleaseMessage(m)
 }
@@ -136,11 +124,6 @@ func (GIOPCodec) MarshalMessageError() ([]byte, error) {
 // MarshalCloseConnection implements Codec.
 func (GIOPCodec) MarshalCloseConnection() ([]byte, error) {
 	return giop.MarshalCloseConnection(giop.V1_0, cdr.BigEndian)
-}
-
-// Unmarshal implements Codec.
-func (GIOPCodec) Unmarshal(frame []byte) (*giop.Message, error) {
-	return giop.Unmarshal(frame)
 }
 
 // MarshalRequest selects the QoS-extended version when the header carries

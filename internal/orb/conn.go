@@ -56,8 +56,8 @@ type clientConn struct {
 
 	nextID atomic.Uint32
 
-	// outstanding mirrors len(pending) for lock-free reads (stripe picking,
-	// the inflight gauge); pending itself stays under mu.
+	// outstanding mirrors len(pending) for lock-free reads (the writer's
+	// gather hint); pending itself stays under mu.
 	outstanding atomic.Int32
 
 	mu      sync.Mutex
@@ -102,7 +102,7 @@ func (c *clientConn) readLoop() {
 			c.teardown(fmt.Errorf("%w: %v", errConnClosed, err))
 			return
 		}
-		m, err := codecUnmarshal(c.codec, frame)
+		m, err := c.codec.UnmarshalPooled(frame)
 		if err != nil {
 			transport.PutBuffer(frame)
 			c.teardown(fmt.Errorf("orb: bad frame from server: %w", err))
@@ -117,11 +117,11 @@ func (c *clientConn) readLoop() {
 		case giop.MsgLocateReply:
 			c.route(m.LocateReply.RequestID, m)
 		case giop.MsgCloseConnection:
-			codecRelease(c.codec, m)
+			c.codec.ReleaseMessage(m)
 			c.teardown(errConnClosed)
 			return
 		case giop.MsgMessageError:
-			codecRelease(c.codec, m)
+			c.codec.ReleaseMessage(m)
 			c.teardown(errors.New("orb: server reported a GIOP message error")) //coollint:allocok connection teardown, once per connection
 			return
 		default:
@@ -129,7 +129,7 @@ func (c *clientConn) readLoop() {
 			// the type before the release: the recycled message may be
 			// repopulated by another connection concurrently.
 			t := m.Header.Type
-			codecRelease(c.codec, m)
+			c.codec.ReleaseMessage(m)
 			c.teardown(fmt.Errorf("orb: unexpected %v from server", t)) //coollint:allocok connection teardown, once per connection
 			return
 		}
@@ -155,7 +155,7 @@ func (c *clientConn) route(id uint32, m *giop.Message) {
 		if !closed && c.ins != nil {
 			c.ins.orphanReply()
 		}
-		codecRelease(c.codec, m)
+		c.codec.ReleaseMessage(m)
 	}
 }
 
@@ -369,7 +369,7 @@ func (c *clientConn) unregister(id uint32) {
 func (c *clientConn) releaseSlot(slot *replySlot) {
 	select {
 	case m := <-slot.ch:
-		codecRelease(c.codec, m) // stale reply from a raced teardown drain
+		c.codec.ReleaseMessage(m) // stale reply from a raced teardown drain
 	default:
 	}
 	c.mu.Lock()

@@ -32,9 +32,9 @@ func makeConnKey(p ior.Profile, qosKey string) connKey {
 }
 
 // dialCall is one in-flight dial shared by every caller that needs the
-// same connection: single-flight per (key, stripe slot), so a burst of
-// invocations against a cold (or freshly broken) endpoint produces one
-// transport handshake per stripe at most.
+// same connection: single-flight per key, so a burst of invocations
+// against a cold (or freshly broken) endpoint produces one transport
+// handshake.
 type dialCall struct {
 	done    chan struct{}
 	conn    *clientConn
@@ -42,63 +42,47 @@ type dialCall struct {
 	err     error
 }
 
-// stripeKey addresses one stripe slot of a connection-cache entry.
-type stripeKey struct {
-	key connKey
-	idx int
-}
-
-// stripeSet is the cache entry for one (endpoint, protocol, QoS) key: up
-// to `stripes` parallel connections. Slots are nil until first use; broken
-// connections are pruned in place. With the default of one stripe this
-// degenerates to the previous one-conn-per-key cache.
-type stripeSet struct {
-	conns []*clientConn
-}
-
 // connManager owns the client side of the connection lifecycle: dialing
 // (with context), the unilateral QoS negotiation against the transport,
-// the (endpoint, protocol, QoS) connection cache with optional striping,
-// single-flight dial coalescing per stripe, and teardown on Shutdown. It
-// is the extracted "connection management" slice of the ORB core; the ORB
-// delegates to it and the invocation layer never touches transport
-// managers directly.
+// the (endpoint, protocol, QoS) connection cache, single-flight dial
+// coalescing, and teardown on Shutdown. It is the extracted "connection
+// management" slice of the ORB core; the ORB delegates to it and the
+// invocation layer never touches transport managers directly.
 type connManager struct {
 	registry    *transport.Registry
 	ins         *instruments // may be nil in unit tests
 	resolve     func(protocol string) (Codec, error)
-	stripes     int // connections per key (>= 1)
 	maxInFlight int // per-connection in-flight limit handed to newClientConn
 
 	mu      sync.Mutex
-	conns   map[connKey]*stripeSet
-	dialing map[stripeKey]*dialCall
-	nconns  int // open connections across all stripes (the conns_cached gauge)
+	conns   map[connKey]*clientConn
+	dialing map[connKey]*dialCall
 	closed  bool
 }
 
-func newConnManager(registry *transport.Registry, ins *instruments, resolve func(string) (Codec, error), stripes, maxInFlight int) *connManager {
-	if stripes < 1 {
-		stripes = 1
-	}
+func newConnManager(registry *transport.Registry, ins *instruments, resolve func(string) (Codec, error), maxInFlight int) *connManager {
 	return &connManager{
 		registry:    registry,
 		ins:         ins,
 		resolve:     resolve,
-		stripes:     stripes,
 		maxInFlight: maxInFlight,
-		conns:       make(map[connKey]*stripeSet),
-		dialing:     make(map[stripeKey]*dialCall),
+		conns:       make(map[connKey]*clientConn),
+		dialing:     make(map[connKey]*dialCall),
 	}
 }
 
-// get returns a client connection for a profile and QoS requirement,
-// picking the least-loaded stripe. An idle open connection is always
-// preferred; when every open stripe has requests outstanding and an empty
-// slot remains, a new stripe is dialed (so load spreads across up to
-// `stripes` transport streams per key). Broken connections are replaced by
-// fresh dials (counted by orb.client.redials); concurrent callers share
-// one dial per stripe slot.
+// cachedLocked publishes the cache size to the conns_cached gauge. Caller
+// holds cm.mu.
+func (cm *connManager) cachedLocked() {
+	if cm.ins != nil {
+		cm.ins.connsCached.Set(int64(len(cm.conns)))
+	}
+}
+
+// get returns the client connection for a profile and QoS requirement,
+// dialing it on first use. A broken cached connection is replaced by a
+// fresh dial (counted by orb.client.redials); concurrent callers share one
+// dial.
 func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set) (*clientConn, qos.Set, error) {
 	codec, err := cm.resolve(p.Protocol)
 	if err != nil {
@@ -111,64 +95,21 @@ func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set) (*cl
 			cm.mu.Unlock()
 			return nil, nil, errShutdown
 		}
-		ss := cm.conns[key]
-		if ss == nil {
-			ss = &stripeSet{conns: make([]*clientConn, cm.stripes)}
-			cm.conns[key] = ss
-		}
-		// Prune broken stripes and find the least-outstanding open one.
-		best, empty := -1, -1
-		var bestOut int32
-		for i, c := range ss.conns {
-			if c == nil {
-				if empty < 0 {
-					empty = i
-				}
-				continue
-			}
-			if c.isClosed() {
-				// The cached connection broke; a dial below replaces it
-				// (counted even when that dial needs backoff retries to land).
-				ss.conns[i] = nil
-				cm.nconns--
-				if cm.ins != nil {
-					cm.ins.redials.Inc()
-					cm.ins.connsCached.Set(int64(cm.nconns))
-				}
-				if empty < 0 {
-					empty = i
-				}
-				continue
-			}
-			if out := c.outstanding.Load(); best < 0 || out < bestOut {
-				best, bestOut = i, out
-			}
-		}
-		if best >= 0 && (empty < 0 || bestOut == 0) {
-			c := ss.conns[best]
-			granted := c.granted
-			cm.mu.Unlock()
-			return c, granted, nil
-		}
-		// Dial a fresh stripe: the first empty slot with no dial in flight.
-		idx := -1
-		for i := empty; i >= 0 && i < len(ss.conns); i++ {
-			if ss.conns[i] == nil && cm.dialing[stripeKey{key, i}] == nil {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			// Every empty slot already has a dial in flight. Piggyback on
-			// the earliest one rather than queueing a redundant handshake —
-			// unless an open (busy) stripe exists, which beats waiting.
-			if best >= 0 {
-				c := ss.conns[best]
+		if c := cm.conns[key]; c != nil {
+			if !c.isClosed() {
 				granted := c.granted
 				cm.mu.Unlock()
 				return c, granted, nil
 			}
-			call := cm.dialing[stripeKey{key, empty}]
+			// The cached connection broke; the dial below replaces it
+			// (counted even when that dial needs backoff retries to land).
+			delete(cm.conns, key)
+			cm.cachedLocked()
+			if cm.ins != nil {
+				cm.ins.redials.Inc()
+			}
+		}
+		if call := cm.dialing[key]; call != nil {
 			cm.mu.Unlock()
 			select {
 			case <-call.done:
@@ -183,15 +124,14 @@ func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set) (*cl
 			}
 			continue // the shared connection already broke: dial again
 		}
-		skey := stripeKey{key, idx}
 		call := &dialCall{done: make(chan struct{})}
-		cm.dialing[skey] = call
+		cm.dialing[key] = call
 		cm.mu.Unlock()
 
 		conn, granted, err := cm.dial(ctx, codec, p, req)
 
 		cm.mu.Lock()
-		delete(cm.dialing, skey)
+		delete(cm.dialing, key)
 		var stale *clientConn
 		if err == nil {
 			if cm.closed {
@@ -200,13 +140,8 @@ func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set) (*cl
 				stale = conn
 				conn, granted, err = nil, nil, errShutdown
 			} else {
-				if cur := cm.conns[key]; cur != nil {
-					cur.conns[idx] = conn
-				}
-				cm.nconns++
-				if cm.ins != nil {
-					cm.ins.connsCached.Set(int64(cm.nconns))
-				}
+				cm.conns[key] = conn
+				cm.cachedLocked()
 			}
 		}
 		call.conn, call.granted, call.err = conn, granted, err
@@ -256,17 +191,9 @@ func (cm *connManager) dial(ctx context.Context, codec Codec, p ior.Profile, req
 func (cm *connManager) drop(p ior.Profile, qosKey string, c *clientConn) {
 	key := makeConnKey(p, qosKey)
 	cm.mu.Lock()
-	if ss, ok := cm.conns[key]; ok {
-		for i, cur := range ss.conns {
-			if cur == c {
-				ss.conns[i] = nil
-				cm.nconns--
-				if cm.ins != nil {
-					cm.ins.connsCached.Set(int64(cm.nconns))
-				}
-				break
-			}
-		}
+	if cm.conns[key] == c {
+		delete(cm.conns, key)
+		cm.cachedLocked()
 	}
 	cm.mu.Unlock()
 	c.close()
@@ -284,16 +211,9 @@ func (cm *connManager) close() {
 	cm.closed = true
 	conns := cm.conns
 	cm.conns = nil
-	cm.nconns = 0
-	if cm.ins != nil {
-		cm.ins.connsCached.Set(0)
-	}
+	cm.cachedLocked()
 	cm.mu.Unlock()
-	for _, ss := range conns {
-		for _, c := range ss.conns {
-			if c != nil {
-				c.close()
-			}
-		}
+	for _, c := range conns {
+		c.close()
 	}
 }

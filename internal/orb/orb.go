@@ -23,11 +23,6 @@ const defaultDrainTimeout = 5 * time.Second
 // the retransmission state behind it) grow without bound.
 const defaultMaxInFlight = 4096
 
-// maxConnStripes caps WithConnStripes: past a handful of parallel streams
-// per endpoint the syscall batching already saturates, and each stripe
-// costs a file descriptor and a reader goroutine on both peers.
-const maxConnStripes = 16
-
 // ORB is one COOL runtime instance: object adapter, server endpoints, and
 // client-side connection management over the generic transport layer.
 type ORB struct {
@@ -40,7 +35,6 @@ type ORB struct {
 	cm           *connManager
 	drainTimeout time.Duration
 	maxInFlight  int
-	connStripes  int
 
 	mu        sync.Mutex
 	endpoints []endpoint
@@ -152,23 +146,6 @@ func WithMaxInFlight(n int) Option {
 	return optFunc(func(o *ORB) { o.maxInFlight = n })
 }
 
-// WithConnStripes dials up to n parallel connections per (endpoint,
-// protocol, QoS) key, picking the least-loaded stripe per binding, so one
-// transport stream's head-of-line blocking stops being the throughput
-// ceiling at high concurrency. n is clamped to [1, 16]; the default is 1
-// (the paper's one-connection-per-QoS-binding model, §4.1).
-func WithConnStripes(n int) Option {
-	return optFunc(func(o *ORB) {
-		if n < 1 {
-			n = 1
-		}
-		if n > maxConnStripes {
-			n = maxConnStripes
-		}
-		o.connStripes = n
-	})
-}
-
 // New creates an ORB with the standard tcp and inproc transports
 // registered.
 func New(opts ...Option) *ORB {
@@ -180,7 +157,6 @@ func New(opts ...Option) *ORB {
 		codecs:      map[string]Codec{"giop": GIOPCodec{}},
 		ins:         newInstruments(),
 		maxInFlight: defaultMaxInFlight,
-		connStripes: 1,
 	}
 	o.registry.SetHooks(&transport.Hooks{
 		Opened: func(scheme string) {
@@ -198,7 +174,7 @@ func New(opts ...Option) *ORB {
 	for _, opt := range opts {
 		opt.apply(o)
 	}
-	o.cm = newConnManager(o.registry, o.ins, o.codec, o.connStripes, o.maxInFlight)
+	o.cm = newConnManager(o.registry, o.ins, o.codec, o.maxInFlight)
 	return o
 }
 

@@ -141,7 +141,7 @@ func (o *ORB) serveConn(ch transport.Channel, codec Codec) {
 		if err != nil {
 			return // EOF or transport failure: drop the connection
 		}
-		m, err := codecUnmarshal(codec, frame)
+		m, err := codec.UnmarshalPooled(frame)
 		if err != nil {
 			// Malformed frame: answer MessageError and close (§2 GIOP
 			// error handling; the COOL protocol mirrors it). The frame was
@@ -178,10 +178,10 @@ func (o *ORB) serveConn(ch transport.Channel, codec Codec) {
 			}
 		case giop.MsgCancelRequest:
 			state.cancel(m.CancelRequest.RequestID)
-			codecRelease(codec, m)
+			codec.ReleaseMessage(m)
 		case giop.MsgLocateRequest:
 			reply := o.handleLocate(codec, m)
-			codecRelease(codec, m)
+			codec.ReleaseMessage(m)
 			if reply != nil {
 				flen := len(reply)
 				if w.send(reply) == nil {
@@ -189,15 +189,15 @@ func (o *ORB) serveConn(ch transport.Channel, codec Codec) {
 				}
 			}
 		case giop.MsgCloseConnection:
-			codecRelease(codec, m)
+			codec.ReleaseMessage(m)
 			return
 		case giop.MsgMessageError:
-			codecRelease(codec, m)
+			codec.ReleaseMessage(m)
 			return
 		default:
 			// Replies and LocateReplies are client-bound; a server
 			// receiving one indicates a confused peer.
-			codecRelease(codec, m)
+			codec.ReleaseMessage(m)
 			return
 		}
 	}
@@ -208,7 +208,7 @@ func (o *ORB) serveConn(ch transport.Channel, codec Codec) {
 // on. It owns m.
 func (o *ORB) completeRequest(ctx context.Context, codec Codec, w *frameWriter, m *giop.Message, state *serverConnState) {
 	reply := o.handleRequest(ctx, codec, m, state)
-	codecRelease(codec, m)
+	codec.ReleaseMessage(m)
 	if reply == nil {
 		return
 	}
@@ -234,7 +234,7 @@ func (o *ORB) rejectRequest(codec Codec, w *frameWriter, m *giop.Message, exc *g
 			}
 		}
 	}
-	codecRelease(codec, m)
+	codec.ReleaseMessage(m)
 }
 
 // replyHdrPool recycles Reply headers: the header escapes through the
@@ -245,7 +245,7 @@ var replyHdrPool = sync.Pool{New: func() any { return new(giop.ReplyHeader) }}
 func marshalReply(codec Codec, m *giop.Message, id uint32, status giop.ReplyStatus, body func(*cdr.Encoder)) ([]byte, error) {
 	hdr := replyHdrPool.Get().(*giop.ReplyHeader)
 	*hdr = giop.ReplyHeader{RequestID: id, Status: status}
-	frame, err := codec.MarshalReply(m, hdr, body)
+	frame, err := boundFrame(codec.MarshalReply(m, hdr, body))
 	replyHdrPool.Put(hdr)
 	return frame, err
 }
@@ -432,18 +432,18 @@ func (o *ORB) handleLocate(codec Codec, m *giop.Message) []byte {
 // reply frame is pooled and owned by the caller. The caller's context
 // reaches the servant as Invocation.Ctx.
 func (o *ORB) dispatchColocated(ctx context.Context, codec Codec, frame []byte) ([]byte, error) {
-	m, err := codecUnmarshal(codec, frame)
+	m, err := codec.UnmarshalPooled(frame)
 	if err != nil {
 		transport.PutBuffer(frame)
 		return nil, err
 	}
 	if m.Header.Type != giop.MsgRequest {
-		codecRelease(codec, m)
+		codec.ReleaseMessage(m)
 		return nil, errors.New("orb: colocated dispatch expects a Request")
 	}
 	reply := o.handleRequest(ctx, codec, m, nil)
 	responseExpected := m.Request.ResponseExpected
-	codecRelease(codec, m)
+	codec.ReleaseMessage(m)
 	if reply == nil {
 		if !responseExpected {
 			return nil, nil

@@ -15,10 +15,8 @@ import (
 // draining the queue — including frames other senders enqueued while it
 // held the transport — until the queue is empty. A lone caller therefore
 // pays exactly one write per frame (no batching delay is ever added),
-// while N concurrent callers collapse their frames into a few writev
-// calls (transport.BatchChannel); transports without the capability fall
-// back to a WriteMessage loop and still benefit from the single combiner
-// taking the channel's write lock once per drain.
+// while N concurrent callers collapse their frames into a few
+// Channel.WriteMessages calls (one writev each on tcp).
 //
 // Ownership: send takes ownership of the frame unconditionally (enqueueing
 // is the handoff — see DESIGN §9). Frames are recycled to the shared arena
@@ -26,10 +24,9 @@ import (
 // caller must not touch a frame after handing it to send.
 type frameWriter struct {
 	ch    transport.Channel
-	batch transport.BatchChannel // nil when the transport lacks vectored writes
-	sizeH *obs.Histogram         // flush batch sizes; may be nil
-	onErr func(error)            // fired once, after the first flush failure
-	load  func() int             // callers-in-flight hint; nil disables the gather yield
+	sizeH *obs.Histogram // flush batch sizes; may be nil
+	onErr func(error)    // fired once, after the first flush failure
+	load  func() int     // callers-in-flight hint; nil disables the gather yield
 
 	mu      sync.Mutex
 	q       [][]byte // frames awaiting the next flush
@@ -41,9 +38,7 @@ type frameWriter struct {
 }
 
 func newFrameWriter(ch transport.Channel, sizeH *obs.Histogram, load func() int, onErr func(error)) *frameWriter {
-	w := &frameWriter{ch: ch, sizeH: sizeH, load: load, onErr: onErr}
-	w.batch, _ = transport.AsBatchChannel(ch)
-	return w
+	return &frameWriter{ch: ch, sizeH: sizeH, load: load, onErr: onErr}
 }
 
 // send enqueues one frame for transmission, taking ownership of it. When no
@@ -115,7 +110,10 @@ func (w *frameWriter) flush() error {
 		if w.sizeH != nil {
 			w.sizeH.Observe(uint64(len(batch)))
 		}
-		err := w.writeBatch(batch)
+		// The transport only borrows the frames; recycling also clears the
+		// entries so the retained queue array cannot pin recycled buffers.
+		err := w.ch.WriteMessages(batch)
+		releaseFrames(batch)
 
 		w.mu.Lock()
 		w.spare = batch[:0]
@@ -136,25 +134,6 @@ func (w *frameWriter) flush() error {
 			return err
 		}
 	}
-}
-
-// writeBatch transmits every frame of batch and recycles them, clearing
-// the entries so the retained backing array cannot pin recycled buffers.
-func (w *frameWriter) writeBatch(batch [][]byte) error {
-	if w.batch != nil {
-		err := w.batch.WriteMessages(batch)
-		releaseFrames(batch)
-		return err
-	}
-	var err error
-	for i, f := range batch {
-		if err == nil {
-			err = w.ch.WriteMessage(f)
-		}
-		transport.PutBuffer(f)
-		batch[i] = nil
-	}
-	return err
 }
 
 // fail poisons the writer: subsequent sends return err with their frame

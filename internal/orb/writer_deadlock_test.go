@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// reentrantBatchChannel is a transport stub that holds its own lock for
+// reentrantChannel is a transport stub that holds its own lock for
 // the full duration of every write and re-enters the writer from inside
 // the first write: acquisition order transport-lock → writer-lock, the
 // inverse of a combiner that (wrongly) kept w.mu across the transport
@@ -16,13 +16,13 @@ import (
 // because flush releases w.mu before touching the transport. (A send
 // caller must never hold transport-internal locks itself: send may
 // inline the combiner drain and re-enter the transport.)
-type reentrantBatchChannel struct {
-	stubBatchChannel
+type reentrantChannel struct {
+	stubChannel
 	w       *frameWriter
 	reenter atomic.Bool // armed: the next write re-enqueues one frame
 }
 
-func (c *reentrantBatchChannel) WriteMessages(frames [][]byte) error {
+func (c *reentrantChannel) WriteMessages(frames [][]byte) error {
 	if c.reenter.CompareAndSwap(true, false) {
 		// The combiner goroutine owns the transport here; handing the
 		// writer a frame takes w.mu. If w.mu were still held by the
@@ -31,10 +31,10 @@ func (c *reentrantBatchChannel) WriteMessages(frames [][]byte) error {
 			return err
 		}
 	}
-	return c.stubBatchChannel.WriteMessages(frames)
+	return c.stubChannel.WriteMessages(frames)
 }
 
-func (c *reentrantBatchChannel) WriteMessage(p []byte) error {
+func (c *reentrantChannel) WriteMessage(p []byte) error {
 	return c.WriteMessages([][]byte{p})
 }
 
@@ -43,22 +43,18 @@ func (c *reentrantBatchChannel) WriteMessage(p []byte) error {
 // inside a gated transport write (transport side held); goroutine B
 // meanwhile enqueues frames and polls waitIdle, both of which need w.mu.
 // With the combiner protocol intact B finishes while A is still parked;
-// if flush held w.mu across writeBatch, B would block until the gate —
-// which only opens after B finishes — and the watchdog turns the cycle
-// into a failure. The transport also re-enters the writer from inside
+// if flush held w.mu across the transport write, B would block until the
+// gate — which only opens after B finishes — and the watchdog turns the
+// cycle into a failure. The transport also re-enters the writer from inside
 // the write, exercising the inverted order on the combiner's own stack.
 // Runs under -race and, via the pooldebug suite re-run, with the pool
 // verifier compiled in.
 func TestFrameWriterNoLockOrderDeadlock(t *testing.T) {
 	gate := make(chan struct{})
-	ch := &reentrantBatchChannel{}
+	ch := &reentrantChannel{}
 	ch.gate = gate
 	ch.inWrite = make(chan struct{})
-	w := newFrameWriter(&ch.stubBatchChannel, nil, nil, nil)
-	// The constructor only sees the embedded stub; rebind the transport so
-	// batches flow through the re-entrant wrapper.
-	w.ch = ch
-	w.batch = ch
+	w := newFrameWriter(ch, nil, nil, nil)
 	ch.w = w
 	ch.reenter.Store(true)
 

@@ -12,10 +12,10 @@ import (
 	"cool/internal/transport"
 )
 
-// stubBatchChannel is a transport.Channel + BatchChannel that records every
-// batch handed to WriteMessages and can block mid-write behind a gate so
-// tests can race teardown against an in-flight flush deterministically.
-type stubBatchChannel struct {
+// stubChannel is a transport.Channel that records every batch handed to
+// WriteMessages and can block mid-write behind a gate so tests can race
+// teardown against an in-flight flush deterministically.
+type stubChannel struct {
 	mu      sync.Mutex
 	batches []int // size of each WriteMessages call
 	frames  int   // total frames transmitted
@@ -24,7 +24,7 @@ type stubBatchChannel struct {
 	err     error         // returned by every write once set
 }
 
-func (s *stubBatchChannel) WriteMessages(frames [][]byte) error {
+func (s *stubChannel) WriteMessages(frames [][]byte) error {
 	s.mu.Lock()
 	gate := s.gate
 	s.gate = nil
@@ -41,16 +41,16 @@ func (s *stubBatchChannel) WriteMessages(frames [][]byte) error {
 	return err
 }
 
-func (s *stubBatchChannel) WriteMessage(p []byte) error { return s.WriteMessages([][]byte{p}) }
-func (s *stubBatchChannel) ReadMessage() ([]byte, error) {
+func (s *stubChannel) WriteMessage(p []byte) error { return s.WriteMessages([][]byte{p}) }
+func (s *stubChannel) ReadMessage() ([]byte, error) {
 	select {} // tests never read
 }
-func (s *stubBatchChannel) SetQoSParameter(qos.Set) (qos.Set, error) { return nil, nil }
-func (s *stubBatchChannel) Close() error                             { return nil }
-func (s *stubBatchChannel) LocalAddr() string                        { return "stub" }
-func (s *stubBatchChannel) RemoteAddr() string                       { return "stub" }
+func (s *stubChannel) SetQoSParameter(qos.Set) (qos.Set, error) { return nil, nil }
+func (s *stubChannel) Close() error                             { return nil }
+func (s *stubChannel) LocalAddr() string                        { return "stub" }
+func (s *stubChannel) RemoteAddr() string                       { return "stub" }
 
-func (s *stubBatchChannel) totals() (batches, frames int) {
+func (s *stubChannel) totals() (batches, frames int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.batches), s.frames
@@ -66,7 +66,7 @@ func poolFrame(n int) []byte {
 // drain as one vectored write, not one write each.
 func TestFrameWriterCoalescesDuringBlockedWrite(t *testing.T) {
 	gate := make(chan struct{})
-	ch := &stubBatchChannel{gate: gate, inWrite: make(chan struct{})}
+	ch := &stubChannel{gate: gate, inWrite: make(chan struct{})}
 	w := newFrameWriter(ch, nil, nil, nil)
 
 	first := make(chan error, 1)
@@ -104,7 +104,7 @@ func TestFrameWriterGatherYield(t *testing.T) {
 	const senders = 16
 	var inflight atomic.Int32
 	inflight.Store(senders)
-	ch := &stubBatchChannel{}
+	ch := &stubChannel{}
 	w := newFrameWriter(ch, nil, func() int { return int(inflight.Load()) }, nil)
 
 	var wg sync.WaitGroup
@@ -143,7 +143,7 @@ func TestFrameWriterTeardownMidFlushLeaksNothing(t *testing.T) {
 	bufpool.DebugReset()
 	boom := errors.New("boom")
 	gate := make(chan struct{})
-	ch := &stubBatchChannel{gate: gate, inWrite: make(chan struct{})}
+	ch := &stubChannel{gate: gate, inWrite: make(chan struct{})}
 	w := newFrameWriter(ch, nil, nil, nil)
 
 	first := make(chan error, 1)
@@ -186,7 +186,7 @@ func TestFrameWriterTeardownMidFlushLeaksNothing(t *testing.T) {
 func TestFrameWriterWriteErrorPoisonsAndDrops(t *testing.T) {
 	bufpool.DebugReset()
 	boom := errors.New("wire torn")
-	ch := &stubBatchChannel{err: boom}
+	ch := &stubChannel{err: boom}
 	var fired atomic.Int32
 	w := newFrameWriter(ch, nil, nil, func(error) { fired.Add(1) })
 

@@ -115,7 +115,3 @@ func (c *hookChannel) Close() error {
 	c.once.Do(func() { c.hooks.closed(c.scheme) })
 	return err
 }
-
-// Unwrap exposes the decorated channel so capability probes (AsBatchChannel)
-// can reach transport extensions the wrapper does not re-implement.
-func (c *hookChannel) Unwrap() Channel { return c.Channel }

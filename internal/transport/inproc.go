@@ -128,6 +128,11 @@ func newInprocPair(addr string) (client, server *inprocChannel) {
 }
 
 func (c *inprocChannel) WriteMessage(p []byte) error {
+	select {
+	case <-c.closed:
+		return ErrClosed
+	default:
+	}
 	// Copy into a pooled buffer: the caller may reuse its buffer, and
 	// inproc must behave like a real transport that serialises onto the
 	// wire. The receiver takes ownership and recycles via PutBuffer.
@@ -139,6 +144,17 @@ func (c *inprocChannel) WriteMessage(p []byte) error {
 		bufpool.Put(msg)
 		return ErrClosed
 	}
+}
+
+// WriteMessages queues the frames one by one: a queue hand-off has no
+// carrier operation to share.
+func (c *inprocChannel) WriteMessages(frames [][]byte) error {
+	for _, p := range frames {
+		if err := c.WriteMessage(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (c *inprocChannel) ReadMessage() ([]byte, error) {

@@ -83,18 +83,20 @@ func (t *tcpListener) Accept() (Channel, error) {
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 func (t *tcpListener) Close() error { return t.l.Close() }
 
-// tcpChannel frames messages over a net.Conn. The write buffer is reused
-// across messages — the _TcpBuffer role.
+// tcpChannel frames messages over a net.Conn. The prefix and gather
+// buffers are reused across writes — the _TcpBuffer role.
 type tcpChannel struct {
 	conn net.Conn
 
 	writeMu sync.Mutex
-	wbuf    []byte
 	// pbuf holds the 4-octet length prefixes and iov the gather list for
 	// WriteMessages; both are reused across batches (and cleared after each
-	// write so recycled frames are not pinned by the backing array).
-	pbuf []byte
-	iov  net.Buffers
+	// write so recycled frames are not pinned by the backing array). drain
+	// is the view of iov that WriteTo consumes; a field, so taking its
+	// address costs no allocation.
+	pbuf  []byte
+	iov   net.Buffers
+	drain net.Buffers
 
 	readMu sync.Mutex
 	// rbuf is the inbound staging buffer (lazily allocated); rpos..rlen is
@@ -113,27 +115,13 @@ func newTCPChannel(conn net.Conn) *tcpChannel {
 }
 
 func (c *tcpChannel) WriteMessage(p []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	// One writev-style Write keeps the frame atomic on the wire and avoids
-	// a small-packet round before the payload.
-	need := 4 + len(p)
-	if cap(c.wbuf) < need {
-		c.wbuf = make([]byte, need)
-	}
-	buf := c.wbuf[:need]
-	binary.BigEndian.PutUint32(buf, uint32(len(p)))
-	copy(buf[4:], p)
-	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("transport: tcp write: %w", err)
-	}
-	return nil
+	return c.WriteMessages([][]byte{p})
 }
 
-// WriteMessages implements BatchChannel: all frames leave in one vectored
-// write (writev via net.Buffers), alternating reused length prefixes with
-// the callers' payloads, so a flush of N coalesced messages costs one
-// syscall instead of N.
+// WriteMessages sends all frames in one vectored write (writev via
+// net.Buffers), alternating reused length prefixes with the callers'
+// payloads, so a flush of N coalesced messages costs one syscall instead
+// of N.
 func (c *tcpChannel) WriteMessages(frames [][]byte) error {
 	if len(frames) == 0 {
 		return nil
@@ -156,10 +144,10 @@ func (c *tcpChannel) WriteMessages(frames [][]byte) error {
 	// WriteTo advances iov as it drains; keep the full slice so the backing
 	// array can be cleared afterwards — frames are recycled by the caller
 	// and must not stay reachable from the channel.
-	c.iov = iov
-	_, err := (&iov).WriteTo(c.conn)
+	c.iov, c.drain = iov, iov
+	_, err := c.drain.WriteTo(c.conn)
 	clear(c.iov[:cap(c.iov)])
-	c.iov = c.iov[:0]
+	c.iov, c.drain = c.iov[:0], nil
 	if err != nil {
 		return fmt.Errorf("transport: tcp writev: %w", err)
 	}

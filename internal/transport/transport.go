@@ -60,10 +60,11 @@ var (
 // Implementations must allow one concurrent reader and one concurrent
 // writer; Close may be called from any goroutine.
 //
-// Buffer ownership contract: WriteMessage treats p as borrowed for the
-// duration of the call only — the transport copies or transmits it before
-// returning, so the caller may immediately reuse or recycle p (the ORB
-// returns marshalled frames to the shared arena right after a write).
+// Buffer ownership contract: WriteMessage and WriteMessages treat their
+// frames as borrowed for the duration of the call only — the transport
+// copies or transmits them before returning, so the caller may immediately
+// reuse or recycle them (the ORB returns marshalled frames to the shared
+// arena right after a write).
 // ReadMessage hands the returned buffer to the caller with exclusive
 // ownership: the transport never touches it again, so the caller may alias
 // it from decoded messages and, once the message is dropped, recycle it
@@ -72,6 +73,12 @@ var (
 type Channel interface {
 	// WriteMessage sends one message. p is borrowed only for the call.
 	WriteMessage(p []byte) error
+	// WriteMessages sends the frames back to back, framed exactly as if
+	// written one by one, in as few carrier operations as the transport
+	// manages (TCP: one vectored write). An empty batch is a no-op. After
+	// an error some frames may have been transmitted; the connection is
+	// broken, as after a failed WriteMessage.
+	WriteMessages(frames [][]byte) error
 	// ReadMessage receives the next message. It returns io.EOF after the
 	// peer closed the connection. The returned buffer is owned by the
 	// caller; recycle with PutBuffer when done.
@@ -89,43 +96,6 @@ type Channel interface {
 	// syntax, for diagnostics).
 	LocalAddr() string
 	RemoteAddr() string
-}
-
-// BatchChannel is an optional Channel extension for transports that can
-// transmit several messages in one carrier operation (TCP uses a single
-// vectored write via net.Buffers). Like WriteMessage, every frame is
-// borrowed for the duration of the call only: when WriteMessages returns
-// the transport holds no alias of any frame and the caller may recycle
-// them all. Frames are framed exactly as if written one by one, so peers
-// cannot tell coalesced writes from individual ones.
-type BatchChannel interface {
-	// WriteMessages sends the frames back to back. On error, frames may
-	// have been partially transmitted; the connection should be considered
-	// broken (same as a failed WriteMessage).
-	WriteMessages(frames [][]byte) error
-}
-
-// ChannelUnwrapper is implemented by channel decorators (instrumentation
-// wrappers) so capability probes can reach the underlying transport.
-type ChannelUnwrapper interface {
-	Unwrap() Channel
-}
-
-// AsBatchChannel probes ch — unwrapping decorators — for the BatchChannel
-// capability. It returns (nil, false) when the underlying transport writes
-// one message at a time.
-func AsBatchChannel(ch Channel) (BatchChannel, bool) {
-	for ch != nil {
-		if b, ok := ch.(BatchChannel); ok {
-			return b, true
-		}
-		u, ok := ch.(ChannelUnwrapper)
-		if !ok {
-			return nil, false
-		}
-		ch = u.Unwrap()
-	}
-	return nil, false
 }
 
 // Listener accepts inbound channels.

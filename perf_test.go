@@ -13,6 +13,7 @@ import (
 	cool "cool"
 	"cool/internal/bufpool"
 	"cool/internal/cdr"
+	"cool/internal/coolproto"
 	"cool/internal/giop"
 	"cool/internal/orb"
 	"cool/internal/transport"
@@ -33,14 +34,20 @@ func (inlineEcho) Invoke(inv *cool.Invocation) (cool.ReplyWriter, error) {
 }
 
 // echoEnv wires two ORBs over a shared in-process transport with an
-// inline-dispatch echo servant on the server side.
+// inline-dispatch echo servant on the server side, speaking GIOP.
 func echoEnv(t testing.TB) (client *cool.ORB, obj *cool.Object) {
+	return echoEnvProtocol(t, "giop")
+}
+
+// echoEnvProtocol is echoEnv with the message protocol chosen ("giop" or
+// "cool").
+func echoEnvProtocol(t testing.TB, protocol string) (client *cool.ORB, obj *cool.Object) {
 	t.Helper()
 	inner := transport.NewInprocManager()
-	server := orb.New(orb.WithName("perf-server"), orb.WithTransport(inner))
-	client = orb.New(orb.WithName("perf-client"), orb.WithTransport(inner))
+	server := orb.New(orb.WithName("perf-server"), orb.WithTransport(inner), orb.WithMessageProtocol(coolproto.Codec{}))
+	client = orb.New(orb.WithName("perf-client"), orb.WithTransport(inner), orb.WithMessageProtocol(coolproto.Codec{}))
 	t.Cleanup(func() { client.Shutdown(); server.Shutdown() })
-	if _, err := server.ListenOn("inproc", "perf-echo"); err != nil {
+	if _, err := server.ListenOnProtocol("inproc", "perf-echo", protocol); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := server.RegisterServant(inlineEcho{}, cool.WithInlineDispatch())
@@ -55,7 +62,7 @@ func echoEnv(t testing.TB) (client *cool.ORB, obj *cool.Object) {
 // messages and headers, reused reply slots, and inline server dispatch must
 // keep client + server combined at ≤ 2 allocations per invocation
 // (testing.AllocsPerRun counts mallocs globally, so the budget covers both
-// sides).
+// sides). The budget is the same for both message protocols.
 func TestWarmEchoAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget measured without -race")
@@ -63,7 +70,13 @@ func TestWarmEchoAllocBudget(t *testing.T) {
 	if bufpool.DebugEnabled {
 		t.Skip("pooldebug bookkeeping allocates; budget measured without -tags pooldebug")
 	}
-	_, obj := echoEnv(t)
+	for _, protocol := range []string{"giop", "cool"} {
+		t.Run(protocol, func(t *testing.T) { warmEchoAllocBudget(t, protocol) })
+	}
+}
+
+func warmEchoAllocBudget(t *testing.T, protocol string) {
+	_, obj := echoEnvProtocol(t, protocol)
 	payload := bytes.Repeat([]byte{0x5a}, 64)
 	args := func(enc *cdr.Encoder) { enc.WriteOctetSeq(payload) }
 	got := make([]byte, 0, 64)
@@ -86,6 +99,42 @@ func TestWarmEchoAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, invoke)
 	if allocs > 2 {
 		t.Errorf("warm echo allocated %.2f objects/op, budget is 2", allocs)
+	}
+}
+
+// TestCoolEchoRecyclesFrames: COOL-protocol frames and messages return to
+// their pools like GIOP ones. Under -tags pooldebug the leak ledgers must
+// not grow across warm echoes (every unreleased request or reply frame
+// would add an entry); a little slack covers pooled encoders the garbage
+// collector drops mid-run, whose buffers stay on the ledger. Without the
+// tag the ledgers are empty and this only exercises the path.
+func TestCoolEchoRecyclesFrames(t *testing.T) {
+	_, obj := echoEnvProtocol(t, "cool")
+	payload := bytes.Repeat([]byte{0x3c}, 64)
+	args := func(enc *cdr.Encoder) { enc.WriteOctetSeq(payload) }
+	out := func(dec *cdr.Decoder) error {
+		p, err := dec.ReadOctetSeq()
+		if err == nil && !bytes.Equal(p, payload) {
+			err = errors.New("echo mismatch")
+		}
+		return err
+	}
+	invoke := func() {
+		if err := obj.Invoke("echo", args, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		invoke()
+	}
+	ledger := func() int { return len(bufpool.Leaks()) + len(giop.DebugLeaks()) }
+	before := ledger()
+	const calls = 256
+	for i := 0; i < calls; i++ {
+		invoke()
+	}
+	if grown := ledger() - before; grown > calls/16 {
+		t.Fatalf("leak ledgers grew by %d entries over %d warm echoes:\n%s", grown, calls, bufpool.Leaks()[0])
 	}
 }
 
