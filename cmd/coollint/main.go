@@ -4,19 +4,14 @@
 //
 // Usage:
 //
-//	coollint [-list] [-only name,name] [-json] [-stats]
-//	         [-baseline file] [-write-baseline file] [patterns...]
+//	coollint [-list] [-only name,name] [-json] [-stats] [patterns...]
 //
 // Patterns follow the loader's subset of go tool syntax: "./..." (default)
 // for the whole module, "dir/..." for a subtree, or a module-relative
 // directory. Diagnostics print as file:line:col: analyzer: message (or as
 // a JSON array with -json); the exit status is 1 when any diagnostic is
-// reported, 2 on load errors.
-//
-// A baseline snapshot freezes the current findings: -write-baseline
-// records them, and -baseline tolerates exactly the recorded findings,
-// failing only on new ones. -stats appends a summary of findings silenced
-// by //coollint:allow annotations and per-analyzer wall time.
+// reported, 2 on load errors. -stats appends a summary of findings
+// silenced by //coollint:allow annotations and per-analyzer wall time.
 package main
 
 import (
@@ -45,8 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	stats := fs.Bool("stats", false, "print a summary of suppressed findings")
-	baseline := fs.String("baseline", "", "compare findings against a baseline snapshot; only new findings fail")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings to a baseline snapshot and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -112,26 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	diags, suppressed, timings := analysis.RunAnalyzersTimed(pkgs, analyzers)
 
-	if *writeBaseline != "" {
-		if err := writeBaselineFile(*writeBaseline, loader.ModuleRoot, diags); err != nil {
-			fmt.Fprintf(stderr, "coollint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "coollint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baseline != "" {
-		kept, stale, err := filterBaseline(*baseline, loader.ModuleRoot, diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "coollint: %v\n", err)
-			return 2
-		}
-		if stale > 0 {
-			fmt.Fprintf(stderr, "coollint: %d baseline entrie(s) no longer fire; refresh with -write-baseline\n", stale)
-		}
-		diags = kept
-	}
-
 	if *asJSON {
 		if err := emitJSON(stdout, loader.ModuleRoot, diags); err != nil {
 			fmt.Fprintf(stderr, "coollint: %v\n", err)
@@ -155,60 +128,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// baselineKey renders one finding in the stable, module-relative form the
-// baseline file stores.
-func baselineKey(root string, d analysis.Diagnostic) string {
-	return fmt.Sprintf("%s:%d: %s: %s", relPath(root, d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message)
-}
-
 // relPath maps an absolute filename to a module-root-relative slash path,
-// keeping baselines and JSON output portable across checkouts.
+// keeping JSON output portable across checkouts.
 func relPath(root, file string) string {
 	if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
 		return filepath.ToSlash(rel)
 	}
 	return filepath.ToSlash(file)
-}
-
-// writeBaselineFile snapshots the findings, one per line, sorted.
-func writeBaselineFile(path, root string, diags []analysis.Diagnostic) error {
-	lines := make([]string, len(diags))
-	for i, d := range diags {
-		lines[i] = baselineKey(root, d)
-	}
-	sort.Strings(lines)
-	out := strings.Join(lines, "\n")
-	if out != "" {
-		out += "\n"
-	}
-	return os.WriteFile(path, []byte(out), 0o644)
-}
-
-// filterBaseline drops findings recorded in the baseline (as a multiset)
-// and reports how many baseline entries no longer fire.
-func filterBaseline(path, root string, diags []analysis.Diagnostic) (kept []analysis.Diagnostic, stale int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	known := make(map[string]int)
-	for _, line := range strings.Split(string(data), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			known[line]++
-		}
-	}
-	for _, d := range diags {
-		key := baselineKey(root, d)
-		if known[key] > 0 {
-			known[key]--
-			continue
-		}
-		kept = append(kept, d)
-	}
-	for _, n := range known {
-		stale += n
-	}
-	return kept, stale, nil
 }
 
 // emitJSON renders diagnostics as a JSON array of position/message

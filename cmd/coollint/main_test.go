@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cool/internal/analysis"
 )
 
 // fixture is a module-relative package that always produces diagnostics
@@ -86,7 +88,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"poolpair", "lockhold", "framealias", "obsconst", "wiretaint", "bindstate", "goroleak", "ctxflow", "lockorder", "atomicfield", "chanliveness", "hotalloc"} {
+	for _, name := range []string{"poolpair", "lockhold", "framealias", "obsconst", "wiretaint", "bindstate", "lockorder", "hotalloc"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
 		}
@@ -104,11 +106,7 @@ func TestListOutputLocked(t *testing.T) {
 		{"obsconst", "metric and span names must not be built with function calls"},
 		{"wiretaint", "wire-derived sizes must be bounds-checked before allocation or loop use"},
 		{"bindstate", "explicit-binding lifecycle: no use after ORB shutdown, QoS errors checked, Pendings consumed"},
-		{"goroleak", "every go statement needs a join/stop edge or a //coollint:detached declaration"},
-		{"ctxflow", "context threading: ctx holders use ...Ctx invocation variants, exported blocking APIs offer one"},
 		{"lockorder", "lock acquisition order is consistent module-wide (no deadlock cycles)"},
-		{"atomicfield", "fields accessed via sync/atomic have no unguarded plain reads or writes"},
-		{"chanliveness", "module-internal channel sends have live receivers; no double close"},
 		{"hotalloc", "no unsanctioned heap allocation is reachable from a //coollint:hotpath root"},
 	}
 	var exp strings.Builder
@@ -125,9 +123,9 @@ func TestListOutputLocked(t *testing.T) {
 }
 
 func TestOnlyRestrictsAnalyzers(t *testing.T) {
-	// The obsconst fixture trips obsconst but not goroleak: restricting to
-	// goroleak must come back clean.
-	code, stdout, stderr := runCmd(t, "-only", "goroleak", fixture)
+	// The obsconst fixture trips obsconst but not bindstate: restricting to
+	// bindstate must come back clean.
+	code, stdout, stderr := runCmd(t, "-only", "bindstate", fixture)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -140,11 +138,11 @@ func TestOnlyCommaSeparatedList(t *testing.T) {
 	// A multi-analyzer selection (with a stray trailing comma) runs every
 	// named analyzer: the obsconst fixture still trips obsconst, and the
 	// concurrency suite rides along clean.
-	code, stdout, _ := runCmd(t, "-only", "lockorder,atomicfield,chanliveness,", fixture)
+	code, stdout, _ := runCmd(t, "-only", "lockhold,lockorder,", fixture)
 	if code != 0 {
 		t.Fatalf("concurrency-only exit = %d, want 0\nstdout:\n%s", code, stdout)
 	}
-	code, stdout, _ = runCmd(t, "-only", "goroleak,obsconst", fixture)
+	code, stdout, _ = runCmd(t, "-only", "bindstate,obsconst", fixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -184,46 +182,6 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.txt")
-
-	code, _, stderr := runCmd(t, "-write-baseline", base, fixture)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "obsconst") {
-		t.Fatalf("baseline missing findings:\n%s", data)
-	}
-
-	// Every finding is in the baseline: the compare run passes.
-	code, stdout, _ := runCmd(t, "-baseline", base, fixture)
-	if code != 0 {
-		t.Fatalf("-baseline exit = %d, want 0\nstdout:\n%s", code, stdout)
-	}
-
-	// An empty baseline tolerates nothing: everything is new again.
-	empty := filepath.Join(t.TempDir(), "empty.txt")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := runCmd(t, "-baseline", empty, fixture); code != 1 {
-		t.Fatalf("empty-baseline exit = %d, want 1", code)
-	}
-
-	// A stale baseline (findings fixed) is reported but does not fail.
-	code, _, stderr = runCmd(t, "-baseline", base, cleanPkg)
-	if code != 0 {
-		t.Fatalf("stale-baseline exit = %d, want 0", code)
-	}
-	if !strings.Contains(stderr, "no longer fire") {
-		t.Fatalf("stale baseline not reported:\n%s", stderr)
-	}
-}
-
 func TestSuppressionStats(t *testing.T) {
 	// The framealias fixture carries //coollint:allow sites; -stats must
 	// surface them. Findings still exist, so the exit code stays 1.
@@ -239,5 +197,33 @@ func TestSuppressionStats(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "timings: 1 analyzer(s)") {
 		t.Fatalf("-stats missing per-analyzer wall time:\n%s", stdout)
+	}
+}
+
+// TestReadmeTableMatchesSuite keeps the README's analyzer table in step
+// with the suite: one row per analyzer, in registration order.
+func TestReadmeTableMatchesSuite(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "## Linting the pooling contracts")
+	if !ok {
+		t.Fatal("README.md has no lint section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var rows []string
+	for _, line := range strings.Split(section, "\n") {
+		if cell, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(cell, "`")
+			rows = append(rows, name)
+		}
+	}
+	var want []string
+	for _, a := range analysis.All() {
+		want = append(want, a.Name)
+	}
+	if strings.Join(rows, ",") != strings.Join(want, ",") {
+		t.Fatalf("README analyzer table rows = %v, want analysis.All() = %v", rows, want)
 	}
 }

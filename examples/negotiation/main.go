@@ -21,7 +21,9 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	cool "cool"
@@ -54,12 +56,13 @@ func (sensor) Invoke(inv *cool.Invocation) (cool.ReplyWriter, error) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run plays every scenario, writing the narration to out.
+func run(out io.Writer) error {
 	inner := transport.NewInprocManager()
 	server := cool.NewORB(cool.WithName("sensor-host"), cool.WithTransport(inner))
 	defer server.Shutdown()
@@ -106,7 +109,7 @@ func run() error {
 		return v, served, err
 	}
 
-	fmt.Println("── scenario 1: Figure 3(ii) — request granted ──")
+	fmt.Fprintln(out, "── scenario 1: Figure 3(ii) — request granted ──")
 	if err := setQoS(cool.MinThroughput(10_000, 1_000)); err != nil {
 		return err
 	}
@@ -114,9 +117,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("   read %.1f°C, served at QoS %s\n", v, served)
+	fmt.Fprintf(out, "   read %.1f°C, served at QoS %s\n", v, served)
 
-	fmt.Println("── scenario 2: Figure 3(i) — object implementation NACKs ──")
+	fmt.Fprintln(out, "── scenario 2: Figure 3(i) — object implementation NACKs ──")
 	// 40 Mbit/s floor exceeds the sensor's 20 Mbit/s capability; the
 	// transport can carry it, so the refusal comes from the server as a
 	// NO_RESOURCES system exception in a Reply.
@@ -126,23 +129,23 @@ func run() error {
 	if _, _, err = read(); err != nil {
 		var se *giop.SystemException
 		if errors.As(err, &se) && se.IsNACK() {
-			fmt.Println("   NACK received:", se)
+			fmt.Fprintln(out, "   NACK received:", se)
 		} else {
 			return fmt.Errorf("expected NACK, got %w", err)
 		}
 	}
 
-	fmt.Println("── scenario 3: §4.3 — transport cannot reserve resources ──")
+	fmt.Fprintln(out, "── scenario 3: §4.3 — transport cannot reserve resources ──")
 	// A floor beyond the 155 Mbit/s link: Da CaPo's unilateral negotiation
 	// fails during binding, before any Request is sent.
 	if err := setQoS(cool.MinThroughput(500_000, 400_000)); err != nil {
 		return err
 	}
 	if _, _, err = read(); err != nil {
-		fmt.Println("   binding failed:", err)
+		fmt.Fprintln(out, "   binding failed:", err)
 	}
 
-	fmt.Println("── scenario 4: §4.1 — per-binding vs per-method QoS ──")
+	fmt.Fprintln(out, "── scenario 4: §4.1 — per-binding vs per-method QoS ──")
 	// The NACKed binding of scenario 2 is torn down and its transport
 	// reservation released asynchronously (the server observes the close);
 	// give the release a moment before reserving again.
@@ -155,7 +158,7 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Println("   3 invocations on one negotiated binding (per-binding QoS)")
+	fmt.Fprintln(out, "   3 invocations on one negotiated binding (per-binding QoS)")
 	for i, kbps := range []uint32{2_000, 8_000, 16_000} {
 		if err := setQoS(cool.MinThroughput(kbps, 1_000)); err != nil {
 			return err
@@ -163,15 +166,15 @@ func run() error {
 		if _, _, err := read(); err != nil {
 			return err
 		}
-		fmt.Printf("   invocation %d renegotiated to %v (per-method QoS)\n", i+1, obj.GrantedQoS())
+		fmt.Fprintf(out, "   invocation %d renegotiated to %v (per-method QoS)\n", i+1, obj.GrantedQoS())
 	}
 
-	fmt.Println("── scenario 5: §5.2 — invocation modes call/send/defer/notify/cancel ──")
+	fmt.Fprintln(out, "── scenario 5: §5.2 — invocation modes call/send/defer/notify/cancel ──")
 	// send: oneway.
 	if err := obj.InvokeOneway("log", func(enc *cdr.Encoder) { enc.WriteString("fire and forget") }); err != nil {
 		return err
 	}
-	fmt.Println("   send  : oneway log() dispatched")
+	fmt.Fprintln(out, "   send  : oneway log() dispatched")
 	// defer + poll.
 	p, err := obj.InvokeDeferred("read", nil)
 	if err != nil {
@@ -183,13 +186,13 @@ func run() error {
 	if err := p.Wait(nil); err != nil {
 		return err
 	}
-	fmt.Println("   defer : reply polled and collected")
+	fmt.Fprintln(out, "   defer : reply polled and collected")
 	// notify: async callback.
 	done := make(chan struct{})
-	err = obj.InvokeAsync("read", nil, func(out *cdr.Decoder, err error) {
+	err = obj.InvokeAsync("read", nil, func(dec *cdr.Decoder, err error) {
 		if err == nil {
-			v, _ := out.ReadDouble()
-			fmt.Printf("   notify: callback got %.1f°C\n", v)
+			v, _ := dec.ReadDouble()
+			fmt.Fprintf(out, "   notify: callback got %.1f°C\n", v)
 		}
 		close(done)
 	})
@@ -205,6 +208,6 @@ func run() error {
 	if err := p.Cancel(); err != nil {
 		return err
 	}
-	fmt.Println("   cancel: calibrate() abandoned, reply suppressed")
+	fmt.Fprintln(out, "   cancel: calibrate() abandoned, reply suppressed")
 	return nil
 }

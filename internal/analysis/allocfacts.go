@@ -275,6 +275,22 @@ func (c *allocCollector) walk(n ast.Node, cold bool) {
 	children(n, func(ch ast.Node) { c.walk(ch, cold) })
 }
 
+// children invokes f for each direct child node of n.
+func children(n ast.Node, f func(ast.Node)) {
+	first := true
+	ast.Inspect(n, func(c ast.Node) bool {
+		if c == nil {
+			return false
+		}
+		if first {
+			first = false
+			return true
+		}
+		f(c)
+		return false
+	})
+}
+
 // assign handles map writes, amortized-append exemptions, and boxing at
 // assignment boundaries.
 func (c *allocCollector) assign(as *ast.AssignStmt, cold bool) {

@@ -13,7 +13,7 @@
 // built over every loaded package — a module-wide call graph plus one
 // Summary per function (wire-taint flow from parameters to results,
 // alloc/loop sinks, bounds-guard facts, pool acquire/release effects,
-// frame-aliasing results, and join/loop-forever facts for goroutines),
+// frame-aliasing results, lock and blocking effects, warm allocations),
 // computed bottom-up over the condensation of strongly connected
 // components. Analyzers consult summaries at call sites, so contracts
 // hold through un-annotated helpers.
@@ -39,21 +39,9 @@
 //     or SetQoSParameter through proxies of a shut-down ORB, no
 //     discarded SetQoSParameter errors, every deferred-invocation
 //     Pending consumed by Wait/Poll/Cancel.
-//   - goroleak:   every spawned goroutine that can loop forever has a
-//     join or stop edge (WaitGroup, context, closable channel) or an
-//     explicit //coollint:detached declaration.
-//   - ctxflow:    context threading — code holding a context.Context must
-//     invoke through the ...Ctx variants so deadlines reach the wire, and
-//     exported blocking proxy/pending methods must offer a ...Ctx sibling.
 //   - lockorder:  the module-wide lock-ordering graph (lock B acquired
 //     while lock A is held, through helpers too) has no cycles and no
 //     re-entrant self-edges — the ABBA deadlock class.
-//   - atomicfield: struct fields accessed via sync/atomic (raw calls or
-//     typed wrappers) have no plain reads/writes that are not guarded by
-//     the same mutex that guards the atomic sites.
-//   - chanliveness: sends on module-internal channels have a live receive
-//     path (not gated behind the sender's own lock), and no channel is
-//     closed twice.
 //   - hotalloc:   no unsanctioned heap allocation (make/new, growing
 //     append, interface boxing, closures, goroutine spawns, string
 //     conversions, formatting calls, map writes) is reachable through
@@ -64,7 +52,6 @@
 //
 //	//coollint:owner            this acquisition intentionally escapes
 //	//coollint:allow <analyzer> suppress one analyzer on this line
-//	//coollint:detached         this goroutine intentionally has no join
 //	//coollint:allocok <reason> this allocation is acceptable on the hot
 //	                            path for the stated reason
 //
@@ -102,7 +89,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in deterministic order.
 func All() []*Analyzer {
-	return []*Analyzer{PoolPair, LockHold, FrameAlias, ObsConst, WireTaint, BindState, GoroLeak, CtxFlow, LockOrder, AtomicField, ChanLiveness, HotAlloc}
+	return []*Analyzer{PoolPair, LockHold, FrameAlias, ObsConst, WireTaint, BindState, LockOrder, HotAlloc}
 }
 
 // Pass carries one analyzer's view of one package.

@@ -103,14 +103,10 @@ func TestFrameAliasFixture(t *testing.T) { runFixture(t, "framealias", FrameAlia
 func TestObsConstFixture(t *testing.T)   { runFixture(t, "obsconst", ObsConst) }
 func TestWireTaintFixture(t *testing.T)  { runFixture(t, "wiretaint", WireTaint) }
 func TestBindStateFixture(t *testing.T)  { runFixture(t, "bindstate", BindState) }
-func TestGoroLeakFixture(t *testing.T)   { runFixture(t, "goroleak", GoroLeak) }
-func TestCtxFlowFixture(t *testing.T)    { runFixture(t, "ctxflow", CtxFlow) }
 
-// The concurrency suite: each fixture exercises at least one
-// interprocedural (through-helper) finding.
-func TestLockOrderFixture(t *testing.T)    { runFixture(t, "lockorder", LockOrder) }
-func TestAtomicFieldFixture(t *testing.T)  { runFixture(t, "atomicfield", AtomicField) }
-func TestChanLivenessFixture(t *testing.T) { runFixture(t, "chanliveness", ChanLiveness) }
+// TestLockOrderFixture exercises at least one interprocedural
+// (through-helper) lock-order finding.
+func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", LockOrder) }
 
 // TestHotAllocFixture drives the allocation analyzer: every warm site
 // kind, through-helper propagation (fill's sites carry the process ->

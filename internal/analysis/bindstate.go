@@ -123,16 +123,10 @@ type bindStateChecker struct {
 
 // classOf classifies a type by its method shape.
 func (bs *bindStateChecker) classOf(t types.Type) bindClass {
-	return bindClassOf(t, bs.classes)
-}
-
-// bindClassOf is the structural classification shared by the lifecycle
-// analyzers (bindstate, ctxflow), memoized in the caller's map.
-func bindClassOf(t types.Type, memo map[types.Type]bindClass) bindClass {
 	if t == nil {
 		return classNone
 	}
-	if c, ok := memo[t]; ok {
+	if c, ok := bs.classes[t]; ok {
 		return c
 	}
 	c := classNone
@@ -144,7 +138,7 @@ func bindClassOf(t types.Type, memo map[types.Type]bindClass) bindClass {
 	case hasMethod(t, "Wait") && hasMethod(t, "Poll") && hasMethod(t, "Cancel"):
 		c = classPending
 	}
-	memo[t] = c
+	bs.classes[t] = c
 	return c
 }
 

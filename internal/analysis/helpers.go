@@ -131,17 +131,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 }
 
-// isNamedType reports whether t (possibly behind pointers) is the named
-// type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	n := namedOf(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // funcDeclsOf indexes the package's function declarations by their object,
 // so analyzers can consult annotations on same-package helpers.
 func funcDeclsOf(pass *Pass) map[types.Object]*ast.FuncDecl {

@@ -11,16 +11,16 @@ import (
 // components and walked bottom-up to compute one Summary per function.
 // Summaries carry the cross-function facts the analyzers need — wire-taint
 // propagation and guard facts (wiretaint), acquire/release effects
-// (poolpair), alias-returning results (framealias), and join/loop facts
-// (goroleak) — so each analyzer stays a per-function pass that consults
-// callee summaries instead of re-deriving the whole program.
+// (poolpair), alias-returning results (framealias), lock and blocking
+// effects (lockorder, lockhold) and warm allocations (hotalloc) — so each
+// analyzer stays a per-function pass that consults callee summaries
+// instead of re-deriving the whole program.
 //
 // The computation is a fixpoint per SCC: summaries inside a cycle are
 // recomputed until stable (monotone bit growth, so termination is by
 // lattice height). Functions are identified by their *types.Func object;
 // function literals are not separate nodes — their bodies are analyzed as
-// part of the enclosing function or, for `go` payloads, directly by
-// goroleak.
+// part of the enclosing function.
 
 // Program is the module-wide analysis view shared by every Pass of one
 // RunAnalyzers invocation.
@@ -28,23 +28,10 @@ type Program struct {
 	fset  *token.FileSet
 	funcs map[*types.Func]*progFunc
 	sums  map[*types.Func]*Summary
-	// closedChans records every variable (including struct fields, via
-	// their *types.Var object) that is the argument of a builtin close()
-	// call anywhere in the analyzed packages. goroleak treats a receive
-	// from such a channel as a stop edge.
-	closedChans map[types.Object]bool
 
-	// Concurrency facts (lockfacts.go), filled in by a post-summary pass:
-	// the module-wide lock-ordering edges, the lock context of every
-	// module-internal call site, the send/recv/close sites of every
-	// tracked channel object, the atomic/plain access sites of every
-	// field touched through sync/atomic, and the locks provably held at
-	// every call site of a function (the *Locked-helper fixpoint).
-	lockEdges    []lockEdge
-	callSites    map[*types.Func][]callSiteRec
-	chans        map[types.Object]*chanFacts
-	atomicFields map[types.Object]*atomicFacts
-	guardedBy    map[*types.Func]lockKeySet
+	// lockEdges are the module-wide lock-ordering edges (lockfacts.go),
+	// filled in by a post-summary pass.
+	lockEdges []lockEdge
 	// annots caches the per-file //coollint:allow index for allowedAt.
 	annots map[*token.File]map[int]map[string]bool
 
@@ -88,15 +75,6 @@ type Summary struct {
 	// loop-bound sink inside the function without a guard.
 	sinkParam uint64
 
-	// joins reports a statically identifiable stop edge reachable from
-	// the function body: a sync.WaitGroup.Done call, observing a
-	// context.Context (Done/Err), or receiving from a channel that is
-	// close()d somewhere in the module — directly or via a callee.
-	joins bool
-	// loopsForever reports an unconditional for-loop (or a range over a
-	// channel with no recorded close) in the function or its callees.
-	loopsForever bool
-
 	// acquires names the pool-object kind the function returns ownership
 	// of ("" when it is not an acquire helper).
 	acquires string
@@ -125,9 +103,6 @@ type Summary struct {
 	// diagnostics ("channel receive in waitAdmission").
 	blocks    bool
 	blockDesc string
-	// closes records the tracked channel objects the function (or a
-	// callee) unconditionally closes — the input to double-close checks.
-	closes map[types.Object]bool
 
 	// warmAllocs reports a warm, unsanctioned allocation site in the
 	// function or any synchronous callee (allocfacts.go) — hotalloc's
@@ -148,44 +123,20 @@ func (p *Program) summaryOf(obj types.Object) *Summary {
 	return p.sums[fn]
 }
 
-// funcOf returns the module declaration of a function object, or nil.
-func (p *Program) funcOf(obj types.Object) *progFunc {
-	if p == nil {
-		return nil
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	return p.funcs[fn]
-}
-
-// chanClosed reports whether the variable object has a module-wide
-// close() call.
-func (p *Program) chanClosed(obj types.Object) bool {
-	return p != nil && obj != nil && p.closedChans[obj]
-}
-
-// BuildProgram indexes every function declaration in pkgs, records the
-// module-wide closed-channel set, and computes per-function summaries
-// bottom-up over the call-graph SCCs.
+// BuildProgram indexes every function declaration in pkgs and computes
+// per-function summaries bottom-up over the call-graph SCCs.
 func BuildProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		funcs:        make(map[*types.Func]*progFunc),
-		sums:         make(map[*types.Func]*Summary),
-		closedChans:  make(map[types.Object]bool),
-		callSites:    make(map[*types.Func][]callSiteRec),
-		chans:        make(map[types.Object]*chanFacts),
-		atomicFields: make(map[types.Object]*atomicFacts),
-		guardedBy:    make(map[*types.Func]lockKeySet),
-		allocFacts:   make(map[*types.Func]*allocFuncFacts),
+		funcs:      make(map[*types.Func]*progFunc),
+		sums:       make(map[*types.Func]*Summary),
+		allocFacts: make(map[*types.Func]*allocFuncFacts),
 	}
 	if len(pkgs) == 0 {
 		return prog
 	}
 	prog.fset = pkgs[0].Fset
 
-	// Pass 1: index declarations and closed channels.
+	// Pass 1: index declarations.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, d := range file.Decls {
@@ -204,7 +155,6 @@ func BuildProgram(pkgs []*Package) *Program {
 					params: receiverFirstParams(fn),
 				}
 			}
-			collectClosedChans(pkg.Info, file, prog.closedChans)
 		}
 	}
 
@@ -243,8 +193,8 @@ func BuildProgram(pkgs []*Package) *Program {
 		}
 	}
 
-	// Pass 4: concurrency facts — consumes the finished summaries, so it
-	// runs after the fixpoint.
+	// Pass 4: lock-order edges — consume the finished summaries, so they
+	// are collected after the fixpoint.
 	collectConcurrencyFacts(prog)
 	return prog
 }
@@ -266,46 +216,6 @@ func receiverFirstParams(fn *types.Func) []*types.Var {
 	return params
 }
 
-// collectClosedChans records the object of every close(x) argument:
-// identifiers resolve through Uses/Defs, field selectors through
-// Selections, so close(o.dispatchQ) in one function matches a receive on
-// o.dispatchQ in another.
-func collectClosedChans(info *types.Info, file *ast.File, out map[types.Object]bool) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "close" {
-			return true
-		}
-		if _, isBuiltin := objOf(info, id).(*types.Builtin); !isBuiltin {
-			return true
-		}
-		if obj := chanKeyOf(info, call.Args[0]); obj != nil {
-			out[obj] = true
-		}
-		return true
-	})
-}
-
-// chanKeyOf resolves the identity of a channel expression: the field
-// object for selector chains (c.done, o.dispatchQ), the variable object
-// for plain identifiers, nil otherwise.
-func chanKeyOf(info *types.Info, e ast.Expr) types.Object {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return objOf(info, x)
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[x]; ok {
-			return sel.Obj()
-		}
-		return objOf(info, x.Sel)
-	}
-	return nil
-}
-
 // newSummary returns the bottom element for a function.
 func newSummary(pf *progFunc) *Summary {
 	sig := pf.obj.Type().(*types.Signature)
@@ -316,24 +226,16 @@ func newSummary(pf *progFunc) *Summary {
 		releasesParam: make([]string, len(pf.params)),
 		locks:         lockKeySet{},
 		freshLocks:    lockKeySet{},
-		closes:        make(map[types.Object]bool),
 	}
 }
 
 func (s *Summary) equal(o *Summary) bool {
 	if o == nil || s.guardsParam != o.guardsParam || s.sinkParam != o.sinkParam ||
-		s.joins != o.joins || s.loopsForever != o.loopsForever ||
 		s.acquires != o.acquires || s.aliasResults != o.aliasResults ||
 		s.blocks != o.blocks || s.blockDesc != o.blockDesc ||
 		s.warmAllocs != o.warmAllocs ||
-		!s.locks.equal(o.locks) || !s.freshLocks.equal(o.freshLocks) ||
-		len(s.closes) != len(o.closes) {
+		!s.locks.equal(o.locks) || !s.freshLocks.equal(o.freshLocks) {
 		return false
-	}
-	for obj := range s.closes {
-		if !o.closes[obj] {
-			return false
-		}
 	}
 	for i := range s.resultBits {
 		if s.resultBits[i] != o.resultBits[i] {
@@ -452,80 +354,11 @@ func sortProgFuncs(pfs []*progFunc) {
 func summarize(prog *Program, pf *progFunc) *Summary {
 	s := newSummary(pf)
 	taintSummarize(prog, pf, s)
-	leakSummarize(prog, pf, s)
 	poolSummarize(prog, pf, s)
 	aliasSummarize(prog, pf, s)
 	lockSummarize(prog, pf, s)
 	allocSummarize(prog, pf, s)
 	return s
-}
-
-// --- goroleak facts ---------------------------------------------------
-
-// leakSummarize computes the join/loop facts: does the body reach a stop
-// edge, and can it loop forever.
-func leakSummarize(prog *Program, pf *progFunc, s *Summary) {
-	joins, loops := scanJoins(prog, pf.pkg.Info, pf.decl.Body)
-	s.joins = joins
-	s.loopsForever = loops
-	for _, c := range pf.callees {
-		if cs := prog.sums[c]; cs != nil {
-			s.joins = s.joins || cs.joins
-			s.loopsForever = s.loopsForever || cs.loopsForever
-		}
-	}
-}
-
-// scanJoins inspects one body (including nested literals, excluding `go`
-// payloads, which are independent goroutines) for local stop edges and
-// unconditional loops.
-func scanJoins(prog *Program, info *types.Info, body ast.Node) (joins, loops bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.GoStmt:
-			// The spawned payload runs on another goroutine; its loops and
-			// joins are its own.
-			return false
-		case *ast.ForStmt:
-			if x.Cond == nil {
-				loops = true
-			}
-		case *ast.RangeStmt:
-			if isChanType(info, x.X) {
-				if prog.chanClosed(chanKeyOf(info, x.X)) {
-					joins = true
-				} else {
-					loops = true
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && prog.chanClosed(chanKeyOf(info, x.X)) {
-				joins = true
-			}
-		case *ast.CallExpr:
-			callee := calleeOf(info, x)
-			if callee == nil {
-				return true
-			}
-			// sync.WaitGroup.Done is the canonical join edge.
-			if isMethod(callee, "sync", "Done") {
-				joins = true
-			}
-			// Observing a context: ctx.Done() or ctx.Err().
-			if isMethod(callee, "context", "Done") || isMethod(callee, "context", "Err") {
-				joins = true
-			}
-			if fn, ok := callee.(*types.Func); ok && fn.Name() == "Done" || ok && fn.Name() == "Err" {
-				if sel, okSel := ast.Unparen(x.Fun).(*ast.SelectorExpr); okSel {
-					if isNamedType(typeOf(info, sel.X), "context", "Context") || isContextInterface(typeOf(info, sel.X)) {
-						joins = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return joins, loops
 }
 
 // typeOf returns the static type of e, or nil.
@@ -544,19 +377,6 @@ func isChanType(info *types.Info, e ast.Expr) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-// isContextInterface reports whether t is the context.Context interface.
-func isContextInterface(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n := namedOf(t)
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // --- poolpair effects -------------------------------------------------

@@ -9,18 +9,14 @@ import (
 )
 
 // This file is the concurrency-facts layer of the interprocedural engine:
-// the module-wide inputs shared by the lockorder, atomicfield and
-// chanliveness analyzers and by the interprocedural upgrade of lockhold.
+// the module-wide lock-order edges consumed by the lockorder analyzer and
+// the lock/blocking summary bits behind the interprocedural upgrade of
+// lockhold.
 //
-// During BuildProgram every function body is walked twice. A cheap AST
-// pass indexes the raw material — struct fields touched through
-// sync/atomic, close() guards, select clauses backed by a default — and a
-// CFG dataflow pass tracks the set of mutex *classes* held at every
-// interesting site (lock acquisitions, module-internal calls, channel
-// operations, plain accesses of atomic-tracked fields). Two lock sets are
-// maintained: MAY-hold (union over paths, drives deadlock edges) and
-// MUST-hold (intersection over paths, drives "is this access guarded"
-// questions).
+// After the summaries are built, every function body is walked once with
+// a CFG dataflow that tracks the set of mutex *classes* that MAY be held
+// (union over paths) at every lock acquisition and module-internal call;
+// each observation becomes a lock-order edge.
 //
 // A mutex class is a stable module-wide identity: "pkg.Type.field" for a
 // mutex struct field (every instance of the type shares the class, which
@@ -73,16 +69,6 @@ func (s lockKeySet) intersect(o lockKeySet) bool {
 		}
 	}
 	return shrunk
-}
-
-// intersects reports whether the sets share a class.
-func (s lockKeySet) intersects(o lockKeySet) bool {
-	for k := range s {
-		if _, ok := o[k]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // displays renders the held set for diagnostics: sorted display names
@@ -159,135 +145,38 @@ func mutexMethodOf(info *types.Info, call *ast.CallExpr) (name string, recv ast.
 	return sel.Sel.Name, sel.X, true
 }
 
-// --- module-wide site records ------------------------------------------
-
 // lockEdge is one "to acquired while from is held" observation, the raw
 // material of the lock-ordering graph.
 type lockEdge struct {
 	from, fromDisp string
 	to, toDisp     string
 	pos            token.Pos
-	fn             *types.Func
 	// via names the module-internal callee whose summary contributed the
 	// acquisition ("" for a direct Lock call).
 	via string
 }
 
-// callSiteRec is one module-internal call with the caller's MUST-hold set.
-type callSiteRec struct {
-	caller *types.Func
-	must   lockKeySet
-}
+// --- the lock dataflow --------------------------------------------------
 
-// accessSite is one recorded program point with its lock context.
-type accessSite struct {
-	pos  token.Pos
-	fn   *types.Func
-	must lockKeySet
-	may  lockKeySet
-	text string
-	// write marks stores (assignments, ++/--) for atomic-field sites.
-	write bool
-	// polled marks channel sends that sit in a select with a default
-	// clause (they can never block forever).
-	polled bool
-	// guarded marks close() calls protected by an enclosing condition
-	// that mentions the channel (the close-and-nil idiom).
-	guarded bool
-}
-
-// chanFacts aggregates every module-wide site of one channel object
-// (struct field or package-level var).
-type chanFacts struct {
-	sends, recvs, closes []accessSite
-	// aliased: the channel value was assigned from something other than a
-	// direct make(), or was read into a variable / passed along — its
-	// endpoints may live behind aliases we cannot see.
-	aliased bool
-	// buffered: some make() for this object has a non-zero capacity.
-	buffered bool
-	made     bool
-}
-
-// atomicFacts aggregates the sync/atomic and plain accesses of one field.
-type atomicFacts struct {
-	atomics []accessSite
-	plains  []accessSite
-}
-
-// --- per-function fact collection --------------------------------------
-
-// funcFactsCollector walks one function with the lock dataflow, feeding
-// the Program-level indexes.
+// funcFactsCollector walks one function with the MAY-hold lock dataflow,
+// feeding lock-order edges into the Program.
 type funcFactsCollector struct {
-	prog *Program
-	pf   *progFunc
-	info *types.Info
-
-	// excluded are selector nodes consumed by an atomic access (the &x.f
-	// of atomic.AddUint64, the receiver of a typed-wrapper method call).
-	excluded map[ast.Node]bool
-	// polledSends are send statements that are select comm clauses with a
-	// default sibling.
-	polledSends map[ast.Node]bool
-	// guardedCloses are close calls under a condition naming the channel.
-	guardedCloses map[ast.Node]bool
-
-	// sites dedupes records across CFG revisits: must intersects, may
-	// unions.
-	sites map[token.Pos]*siteState
-
+	prog  *Program
+	pf    *progFunc
+	info  *types.Info
 	edges map[string]bool // lockEdge dedup: from|to|pos
 }
 
-type siteState struct {
-	site accessSite
-	kind siteKind
-	obj  types.Object // channel / field object, nil for call records
-	via  string
-}
-
-type siteKind uint8
-
-const (
-	siteChanSend siteKind = iota
-	siteChanRecv
-	siteChanClose
-	siteAtomicPlain
-	siteAtomicAtomic
-)
-
-// collectConcurrencyFacts runs the post-summary pass over every function:
-// lock-order edges, call-site lock contexts, channel sites and atomic
-// field sites land in the Program indexes.
+// collectConcurrencyFacts runs the post-summary pass over every function,
+// in declaration order so the edge list is deterministic.
 func collectConcurrencyFacts(prog *Program) {
-	// Pass A: index atomic accesses, select-with-default sends, guarded
-	// closes, and channel aliasing — plain AST facts with no lock context.
 	for _, pf := range prog.sortedFuncs() {
-		indexAtomicAccesses(prog, pf)
-		indexChanShape(prog, pf)
-	}
-	// Pass B: the lock dataflow, which attaches lock context to every
-	// interesting site and derives lock-order edges.
-	for _, pf := range prog.sortedFuncs() {
-		c := &funcFactsCollector{
-			prog:          prog,
-			pf:            pf,
-			info:          pf.pkg.Info,
-			excluded:      markAtomicNodes(pf.pkg.Info, pf.decl.Body),
-			polledSends:   markPolledSends(pf.decl.Body),
-			guardedCloses: markGuardedCloses(pf.pkg.Info, pf.decl.Body),
-			sites:         make(map[token.Pos]*siteState),
-			edges:         make(map[string]bool),
-		}
+		c := &funcFactsCollector{prog: prog, pf: pf, info: pf.pkg.Info, edges: make(map[string]bool)}
 		c.run()
-		c.flush()
 	}
-	computeGuardedFuncs(prog)
 }
 
-// sortedFuncs returns the module functions in declaration order for
-// deterministic index construction.
+// sortedFuncs returns the module functions in declaration order.
 func (p *Program) sortedFuncs() []*progFunc {
 	pfs := make([]*progFunc, 0, len(p.funcs))
 	for _, pf := range p.funcs {
@@ -297,638 +186,104 @@ func (p *Program) sortedFuncs() []*progFunc {
 	return pfs
 }
 
-// --- pass A: AST shape indexes -----------------------------------------
-
-// atomicCallFuncs are the sync/atomic package functions whose first
-// argument addresses the accessed word.
-func isAtomicPkgFunc(obj types.Object) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// isAtomicWrapperMethod reports a method call on one of the typed
-// wrappers (atomic.Int32, atomic.Uint64, atomic.Bool, ...).
-func isAtomicWrapperMethod(obj types.Object) bool {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	n := namedOf(sig.Recv().Type())
-	return n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
-}
-
-// fieldObjOf resolves a selector to the struct field it reads, or nil.
-func fieldObjOf(info *types.Info, e ast.Expr) types.Object {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	return s.Obj()
-}
-
-// indexAtomicAccesses records every struct field reached through
-// sync/atomic — raw atomic.LoadUint32(&s.f) calls and typed-wrapper
-// method calls alike — into prog.atomicFields, with lock context filled
-// in later by the dataflow pass.
-func indexAtomicAccesses(prog *Program, pf *progFunc) {
-	info := pf.pkg.Info
-	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeOf(info, call)
-		if callee == nil {
-			return true
-		}
-		if isAtomicPkgFunc(callee) && len(call.Args) > 0 {
-			if ue, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-				if f := fieldObjOf(info, ue.X); f != nil {
-					prog.atomicField(f) // existence marks the field tracked
-				}
-			}
-		}
-		if isAtomicWrapperMethod(callee) {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if f := fieldObjOf(info, sel.X); f != nil {
-					prog.atomicField(f)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// markAtomicNodes returns the selector nodes that ARE atomic accesses in
-// a body, so the dataflow pass can tell them from plain accesses.
-func markAtomicNodes(info *types.Info, body ast.Node) map[ast.Node]bool {
-	marked := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeOf(info, call)
-		if callee == nil {
-			return true
-		}
-		if isAtomicPkgFunc(callee) && len(call.Args) > 0 {
-			if ue, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-				if sel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr); ok {
-					marked[sel] = true
-				}
-			}
-		}
-		if isAtomicWrapperMethod(callee) {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if recv, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-					marked[recv] = true
-				}
-			}
-		}
-		return true
-	})
-	return marked
-}
-
-// markPolledSends returns the send statements that are select comm
-// clauses with a default sibling: they never block.
-func markPolledSends(body ast.Node) map[ast.Node]bool {
-	marked := make(map[ast.Node]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectStmt)
-		if !ok {
-			return true
-		}
-		hasDefault := false
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-				marked[cc.Comm] = true
-			}
-		}
-		return true
-	})
-	return marked
-}
-
-// markGuardedCloses returns close calls protected by an enclosing if
-// whose condition mentions the closed object — the close-and-nil idiom
-// (`if w.idle != nil { close(w.idle); w.idle = nil }`).
-func markGuardedCloses(info *types.Info, body ast.Node) map[ast.Node]bool {
-	marked := make(map[ast.Node]bool)
-	var walk func(n ast.Node, guards []types.Object)
-	walk = func(n ast.Node, guards []types.Object) {
-		switch x := n.(type) {
-		case nil:
-			return
-		case *ast.IfStmt:
-			var conds []types.Object
-			ast.Inspect(x.Cond, func(c ast.Node) bool {
-				if id, ok := c.(*ast.Ident); ok {
-					if obj := objOf(info, id); obj != nil {
-						conds = append(conds, obj)
-					}
-				}
-				if sel, ok := c.(*ast.SelectorExpr); ok {
-					if obj := chanKeyOf(info, sel); obj != nil {
-						conds = append(conds, obj)
-					}
-				}
-				return true
-			})
-			walk(x.Body, append(append([]types.Object(nil), guards...), conds...))
-			if x.Else != nil {
-				walk(x.Else, guards)
-			}
-			if x.Init != nil {
-				walk(x.Init, guards)
-			}
-			return
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "close" && len(x.Args) == 1 {
-				if obj := chanKeyOf(info, x.Args[0]); obj != nil {
-					for _, g := range guards {
-						if g == obj {
-							marked[x] = true
-						}
-					}
-				}
-			}
-		}
-		// Generic recursion over children, preserving the guard stack.
-		children(n, func(c ast.Node) { walk(c, guards) })
-	}
-	walk(body, nil)
-	return marked
-}
-
-// children invokes f for each direct child node of n.
-func children(n ast.Node, f func(ast.Node)) {
-	first := true
-	ast.Inspect(n, func(c ast.Node) bool {
-		if c == nil {
-			return false
-		}
-		if first {
-			first = false
-			return true
-		}
-		f(c)
-		return false
-	})
-}
-
-// indexChanShape records make-sites and aliasing for channel-typed struct
-// fields and package vars: a channel assigned from anything but a direct
-// make(), or read into another variable, has endpoints the index cannot
-// see, and the liveness rules skip it.
-func indexChanShape(prog *Program, pf *progFunc) {
-	info := pf.pkg.Info
-	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			if len(x.Lhs) != len(x.Rhs) {
-				// Multi-value assignment from one call: any channel LHS is
-				// aliased.
-				for _, lhs := range x.Lhs {
-					if obj := trackedChanObj(prog, info, lhs); obj != nil {
-						prog.chanFact(obj).aliased = true
-					}
-				}
-				return true
-			}
-			for i, lhs := range x.Lhs {
-				obj := trackedChanObj(prog, info, lhs)
-				if obj == nil {
-					continue
-				}
-				recordChanSource(prog, info, obj, x.Rhs[i])
-			}
-		case *ast.CompositeLit:
-			// Struct literals: {field: make(...)} or {field: v}.
-			for _, elt := range x.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := objOf(info, key)
-				if obj == nil || !isChanObj(obj) || !isTrackedChanScope(obj) {
-					continue
-				}
-				recordChanSource(prog, info, obj, kv.Value)
-			}
-		case *ast.UnaryExpr, *ast.SendStmt, *ast.RangeStmt:
-			return true
-		}
-		return true
-	})
-
-	// Aliasing reads: the channel value used outside send/recv/close/
-	// range/comparison position (returned, passed as an argument, copied
-	// into a local).
-	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			markChanValueUses(prog, info, x.Value) // sent elsewhere = alias
-			return true
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "close" {
-				return true // close(ch) is a tracked endpoint, not an alias
-			}
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := objOf(info, id).(*types.Builtin); isBuiltin {
-					return true // len/cap of a channel are harmless
-				}
-			}
-			for _, a := range x.Args {
-				markChanValueUses(prog, info, a)
-			}
-			return true
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				markChanValueUses(prog, info, r)
-			}
-			return true
-		case *ast.AssignStmt:
-			for _, r := range x.Rhs {
-				// A tracked channel read into another variable escapes;
-				// make() and receives were handled above.
-				if _, isRecv := isRecvExpr(r); isRecv {
-					continue
-				}
-				markChanValueUses(prog, info, r)
-			}
-			return true
-		case *ast.ValueSpec:
-			for _, v := range x.Values {
-				markChanValueUses(prog, info, v)
-			}
-			return true
-		}
-		return true
-	})
-}
-
-// isRecvExpr reports whether e is a channel receive, returning the
-// channel expression.
-func isRecvExpr(e ast.Expr) (ast.Expr, bool) {
-	ue, ok := ast.Unparen(e).(*ast.UnaryExpr)
-	if !ok || ue.Op != token.ARROW {
-		return nil, false
-	}
-	return ue.X, true
-}
-
-// markChanValueUses marks tracked channel objects appearing as values in
-// e (bare identifiers / selectors, not receive operations) as aliased.
-// Composite-literal keys name fields, not values, and are skipped.
-func markChanValueUses(prog *Program, info *types.Info, e ast.Expr) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if kv, ok := n.(*ast.KeyValueExpr); ok {
-			markChanValueUses(prog, info, kv.Value)
-			return false
-		}
-		expr, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		// A receive produces an element, not the channel: <-w.ch inside a
-		// larger expression is a use of the channel as an endpoint, not an
-		// alias of its value.
-		if u, isRecv := ast.Unparen(expr).(*ast.UnaryExpr); isRecv && u.Op == token.ARROW {
-			return false
-		}
-		switch ast.Unparen(expr).(type) {
-		case *ast.Ident, *ast.SelectorExpr:
-			if obj := trackedChanObj(prog, info, expr); obj != nil {
-				prog.chanFact(obj).aliased = true
-			}
-			return false
-		}
-		return true
-	})
-}
-
-// recordChanSource classifies the RHS a tracked channel is assigned from.
-func recordChanSource(prog *Program, info *types.Info, obj types.Object, rhs ast.Expr) {
-	f := prog.chanFact(obj)
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if ok {
-		if id, isIdent := ast.Unparen(call.Fun).(*ast.Ident); isIdent && id.Name == "make" {
-			if _, isBuiltin := objOf(info, id).(*types.Builtin); isBuiltin {
-				f.made = true
-				if len(call.Args) >= 2 {
-					// Unknown constant capacity counts as buffered; only a
-					// literal 0 keeps the channel provably unbuffered.
-					if bl, isLit := ast.Unparen(call.Args[1]).(*ast.BasicLit); !isLit || bl.Value != "0" {
-						f.buffered = true
-					}
-				}
-				return
-			}
-		}
-	}
-	if isNilIdent(info, rhs) {
-		return
-	}
-	f.aliased = true
-}
-
-// isChanObj reports whether obj has channel type.
-func isChanObj(obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	_, ok := obj.Type().Underlying().(*types.Chan)
-	return ok
-}
-
-// isTrackedChanScope limits the channel index to objects with module-wide
-// identity: struct fields and package-level variables.
-func isTrackedChanScope(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	if v.IsField() {
-		return true
-	}
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// trackedChanObj resolves e to a tracked channel object, or nil.
-func trackedChanObj(prog *Program, info *types.Info, e ast.Expr) types.Object {
-	obj := chanKeyOf(info, e)
-	if obj == nil || !isChanObj(obj) || !isTrackedChanScope(obj) {
-		return nil
-	}
-	return obj
-}
-
-// --- pass B: the lock dataflow -----------------------------------------
-
-// lockState pairs the MAY-hold and MUST-hold sets.
-type lockState struct {
-	may, must lockKeySet
-}
-
-func (s lockState) clone() lockState {
-	return lockState{may: s.may.clone(), must: s.must.clone()}
-}
-
 func (c *funcFactsCollector) run() {
 	g, ok := buildCFG(c.pf.decl.Body)
 	if !ok {
-		// Unmodelled control flow (goto): collect sites with empty lock
-		// context so the channel/atomic indexes stay complete.
-		c.scanAtoms(c.pf.decl.Body, lockState{may: lockKeySet{}, must: lockKeySet{}}, nil)
+		// Unmodelled control flow (goto): no lock context, so no edges.
 		return
 	}
-	entry := make(map[*cfgBlock]lockState)
+	entry := make(map[*cfgBlock]lockKeySet)
 	type workItem struct {
-		blk   *cfgBlock
-		state lockState
+		blk  *cfgBlock
+		held lockKeySet
 	}
-	work := []workItem{{blk: g.entry, state: lockState{may: lockKeySet{}, must: lockKeySet{}}}}
-	rounds := 0
-	for len(work) > 0 && rounds < 4096 {
-		rounds++
+	work := []workItem{{blk: g.entry, held: lockKeySet{}}}
+	for rounds := 0; len(work) > 0 && rounds < 4096; rounds++ {
 		item := work[len(work)-1]
 		work = work[:len(work)-1]
-		state := item.state.clone()
+		held := item.held.clone()
 		for _, at := range item.blk.atoms {
-			state = c.transfer(at, state)
+			c.transfer(at, held)
 		}
 		for _, e := range item.blk.succs {
 			old, seen := entry[e.to]
 			if !seen {
-				entry[e.to] = state.clone()
-				work = append(work, workItem{blk: e.to, state: state.clone()})
+				entry[e.to] = held.clone()
+				work = append(work, workItem{blk: e.to, held: held.clone()})
 				continue
 			}
-			grew := old.may.union(state.may)
-			shrunk := old.must.intersect(state.must)
-			if grew || shrunk {
-				entry[e.to] = old
-				work = append(work, workItem{blk: e.to, state: old.clone()})
+			if old.union(held) {
+				work = append(work, workItem{blk: e.to, held: old.clone()})
 			}
 		}
 	}
 }
 
-// transfer processes one atom: record sites against the incoming state,
-// then apply lock updates.
-func (c *funcFactsCollector) transfer(at atom, state lockState) lockState {
+// transfer records the lock-order edges of one atom against the incoming
+// held set, then applies the atom's Lock/Unlock calls to the set.
+func (c *funcFactsCollector) transfer(at atom, held lockKeySet) {
 	node := atomNode(at)
-	if node == nil {
-		return state
-	}
-	// Select headers: the comm statements are separate atoms in the clause
-	// blocks; nothing to record at the header itself.
-	if at.kind == atomSelect {
-		return state
-	}
-	// Range atoms embed their whole body, which the CFG lays out
-	// separately: look only at the range expression itself.
-	if rs, ok := node.(*ast.RangeStmt); ok {
-		c.recordRange(rs, state)
-		return state
-	}
-	c.scanAtoms(node, state, at.stmt)
-	return c.applyLockOps(node, at.stmt, state)
-}
-
-// recordRange records a range-over-channel as a receive site.
-func (c *funcFactsCollector) recordRange(rs *ast.RangeStmt, state lockState) {
-	if !isChanType(c.info, rs.X) {
+	// Select headers carry no calls of their own (the comm statements are
+	// separate atoms), and range atoms embed a body the CFG lays out
+	// separately.
+	if node == nil || at.kind == atomSelect {
 		return
 	}
-	if obj := trackedChanObj(c.prog, c.info, rs.X); obj != nil {
-		c.record(rs.X.Pos(), siteChanRecv, obj, accessSite{
-			pos: rs.X.Pos(), fn: c.pf.obj, must: state.must.clone(), may: state.may.clone(),
-			text: exprText(rs.X),
-		}, "")
+	if _, isRange := node.(*ast.RangeStmt); isRange {
+		return
 	}
-}
-
-// scanAtoms records the channel/atomic/call sites inside one atom node.
-// Nested function literals are collected with an empty lock context (they
-// run elsewhere); `go` payloads likewise.
-func (c *funcFactsCollector) scanAtoms(node ast.Node, state lockState, stmt ast.Stmt) {
-	detached := lockState{may: lockKeySet{}, must: lockKeySet{}}
 	ast.Inspect(node, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.FuncLit:
-			c.scanAtoms(x.Body, detached, nil)
+		case *ast.FuncLit, *ast.GoStmt:
+			// Runs elsewhere, with none of these locks held.
 			return false
-		case *ast.GoStmt:
-			// The payload runs on its own goroutine with no locks held.
-			c.scanAtoms(x.Call, detached, nil)
-			return false
-		case *ast.RangeStmt:
-			if x != node {
-				// Nested range inside a detached body: record its receive
-				// and keep walking its children (we are not in CFG land).
-				c.recordRange(x, state)
-			}
-			return true
-		case *ast.SendStmt:
-			if obj := trackedChanObj(c.prog, c.info, x.Chan); obj != nil {
-				c.record(x.Pos(), siteChanSend, obj, accessSite{
-					pos: x.Pos(), fn: c.pf.obj, must: state.must.clone(), may: state.may.clone(),
-					text: exprText(x.Chan), polled: c.polledSends[x] || c.polledSends[stmt],
-				}, "")
-			}
-			return true
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				if obj := trackedChanObj(c.prog, c.info, x.X); obj != nil {
-					c.record(x.Pos(), siteChanRecv, obj, accessSite{
-						pos: x.Pos(), fn: c.pf.obj, must: state.must.clone(), may: state.may.clone(),
-						text: exprText(x.X),
-					}, "")
-				}
-			}
-			return true
 		case *ast.CallExpr:
-			c.recordCall(x, stmt, state)
-			return true
-		case *ast.SelectorExpr:
-			c.recordPlainAccess(x, node, state)
-			// Keep walking: the receiver chain may hold further accesses.
-			return true
+			c.recordCall(x, at.stmt, held)
 		}
 		return true
 	})
+	c.applyLockOps(node, at.stmt, held)
 }
 
-// recordCall handles close(), mutex ops (edges only; state change happens
-// in applyLockOps) and module-internal callees (call-site records plus
-// summary-propagated lock edges).
-func (c *funcFactsCollector) recordCall(call *ast.CallExpr, stmt ast.Stmt, state lockState) {
-	// close(ch)
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-		if _, isBuiltin := objOf(c.info, id).(*types.Builtin); isBuiltin {
-			if obj := trackedChanObj(c.prog, c.info, call.Args[0]); obj != nil {
-				c.record(call.Pos(), siteChanClose, obj, accessSite{
-					pos: call.Pos(), fn: c.pf.obj, must: state.must.clone(), may: state.may.clone(),
-					text: exprText(call.Args[0]), guarded: c.guardedCloses[call],
-				}, "")
-			}
-			return
-		}
-	}
+// recordCall derives the lock-order edges of one call: a direct Lock or
+// RLock orders its class after every held class, and a module-internal
+// callee orders every class its summary may acquire.
+func (c *funcFactsCollector) recordCall(call *ast.CallExpr, stmt ast.Stmt, held lockKeySet) {
 	if name, recv, ok := mutexMethodOf(c.info, call); ok {
 		if name == "Lock" || name == "RLock" {
-			if key, disp, classed := lockClassOf(c.info, recv); classed && !inDeferStmt(stmt, call) {
-				for from, fromDisp := range state.may {
-					c.edge(lockEdge{from: from, fromDisp: fromDisp, to: key, toDisp: disp, pos: call.Pos(), fn: c.pf.obj})
+			if key, disp, classed := lockClassOf(c.info, recv); classed && !inDefer(stmt, call) {
+				for from, fromDisp := range held {
+					c.edge(lockEdge{from: from, fromDisp: fromDisp, to: key, toDisp: disp, pos: call.Pos()})
 				}
 			}
 		}
 		return
 	}
-	callee := calleeOf(c.info, call)
-	if callee == nil {
-		return
-	}
-	fn, ok := callee.(*types.Func)
+	fn, ok := calleeOf(c.info, call).(*types.Func)
 	if !ok {
 		return
 	}
-	if _, inModule := c.prog.funcs[fn]; !inModule {
+	sum := c.prog.sums[fn]
+	if sum == nil {
 		return
 	}
-	c.prog.callSites[fn] = append(c.prog.callSites[fn], callSiteRec{caller: c.pf.obj, must: state.must.clone()})
-	if sum := c.prog.sums[fn]; sum != nil && len(sum.locks) > 0 {
-		for from, fromDisp := range state.may {
-			for to, toDisp := range sum.locks {
-				if to == from {
-					// Only a fresh acquisition self-deadlocks; the callee
-					// re-acquiring a class it provably released first is
-					// the entered-locked protocol.
-					if _, fresh := sum.freshLocks[to]; !fresh {
-						continue
-					}
+	for from, fromDisp := range held {
+		for to, toDisp := range sum.locks {
+			if to == from {
+				// Only a fresh acquisition self-deadlocks; the callee
+				// re-acquiring a class it provably released first is
+				// the entered-locked protocol.
+				if _, fresh := sum.freshLocks[to]; !fresh {
+					continue
 				}
-				c.edge(lockEdge{from: from, fromDisp: fromDisp, to: to, toDisp: toDisp, pos: call.Pos(), fn: c.pf.obj, via: fn.Name()})
 			}
+			c.edge(lockEdge{from: from, fromDisp: fromDisp, to: to, toDisp: toDisp, pos: call.Pos(), via: fn.Name()})
 		}
 	}
 }
 
-// recordPlainAccess records selector reads/writes of atomic-tracked
-// fields that are not themselves atomic operations.
-func (c *funcFactsCollector) recordPlainAccess(sel *ast.SelectorExpr, container ast.Node, state lockState) {
-	if c.excluded[sel] {
-		return
-	}
-	f := fieldObjOf(c.info, sel)
-	if f == nil {
-		return
-	}
-	if _, tracked := c.prog.atomicFields[f]; !tracked {
-		return
-	}
-	write := isWriteTarget(container, sel)
-	c.record(sel.Pos(), siteAtomicPlain, f, accessSite{
-		pos: sel.Pos(), fn: c.pf.obj, must: state.must.clone(), may: state.may.clone(),
-		text: exprText(sel), write: write,
-	}, "")
-}
-
-// isWriteTarget reports whether sel is assigned to (or ++/--) within
-// container.
-func isWriteTarget(container ast.Node, sel *ast.SelectorExpr) bool {
-	found := false
-	ast.Inspect(container, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				if ast.Unparen(lhs) == sel {
-					found = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if ast.Unparen(x.X) == sel {
-				found = true
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND && ast.Unparen(x.X) == sel {
-				found = true // address taken: treat as a write-capable alias
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// applyLockOps updates the lock state for mutex calls in the atom.
-func (c *funcFactsCollector) applyLockOps(node ast.Node, stmt ast.Stmt, state lockState) lockState {
+// applyLockOps updates the held set for the mutex calls in the atom.
+func (c *funcFactsCollector) applyLockOps(node ast.Node, stmt ast.Stmt, held lockKeySet) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -938,7 +293,7 @@ func (c *funcFactsCollector) applyLockOps(node ast.Node, stmt ast.Stmt, state lo
 			return true
 		}
 		name, recv, ok := mutexMethodOf(c.info, call)
-		if !ok {
+		if !ok || inDefer(stmt, call) {
 			return true
 		}
 		key, disp, classed := lockClassOf(c.info, recv)
@@ -947,38 +302,12 @@ func (c *funcFactsCollector) applyLockOps(node ast.Node, stmt ast.Stmt, state lo
 		}
 		switch name {
 		case "Lock", "RLock":
-			if !inDeferStmt(stmt, call) {
-				state.may[key] = disp
-				state.must[key] = disp
-			}
+			held[key] = disp
 		case "Unlock", "RUnlock":
-			if !inDeferStmt(stmt, call) {
-				delete(state.may, key)
-				delete(state.must, key)
-			}
+			delete(held, key)
 		}
 		return true
 	})
-	return state
-}
-
-// inDeferStmt reports whether call sits inside a defer statement.
-func inDeferStmt(stmt ast.Stmt, call *ast.CallExpr) bool {
-	ds, ok := stmt.(*ast.DeferStmt)
-	if !ok {
-		return false
-	}
-	return ds.Call == call || containsNode(ds.Call, call)
-}
-
-// record registers one site, merging lock context across CFG revisits.
-func (c *funcFactsCollector) record(pos token.Pos, kind siteKind, obj types.Object, site accessSite, via string) {
-	if st, ok := c.sites[pos]; ok {
-		st.site.may.union(site.may)
-		st.site.must.intersect(site.must)
-		return
-	}
-	c.sites[pos] = &siteState{site: site, kind: kind, obj: obj, via: via}
 }
 
 func (c *funcFactsCollector) edge(e lockEdge) {
@@ -990,210 +319,15 @@ func (c *funcFactsCollector) edge(e lockEdge) {
 	c.prog.lockEdges = append(c.prog.lockEdges, e)
 }
 
-// flush moves the deduped sites into the Program indexes in positional
-// order.
-func (c *funcFactsCollector) flush() {
-	poss := make([]token.Pos, 0, len(c.sites))
-	for p := range c.sites {
-		poss = append(poss, p)
-	}
-	sort.Slice(poss, func(i, j int) bool { return poss[i] < poss[j] })
-	for _, p := range poss {
-		st := c.sites[p]
-		switch st.kind {
-		case siteChanSend:
-			f := c.prog.chanFact(st.obj)
-			f.sends = append(f.sends, st.site)
-		case siteChanRecv:
-			f := c.prog.chanFact(st.obj)
-			f.recvs = append(f.recvs, st.site)
-		case siteChanClose:
-			f := c.prog.chanFact(st.obj)
-			f.closes = append(f.closes, st.site)
-		case siteAtomicPlain:
-			af := c.prog.atomicField(st.obj)
-			af.plains = append(af.plains, st.site)
-		}
-	}
-
-	// Atomic sites get their lock context from the same dataflow: rescan
-	// the marked nodes. (They were excluded from plain recording.)
-	c.flushAtomicSites()
-}
-
-// flushAtomicSites records the atomic access sites themselves with their
-// lock context, using a second, cheaper dataflow query: the MUST set at
-// the enclosing statement was already captured for call records; for
-// simplicity the atomic sites reuse the plain-walk with empty-context
-// fallback only when the CFG failed.
-func (c *funcFactsCollector) flushAtomicSites() {
-	g, ok := buildCFG(c.pf.decl.Body)
-	var entryState func(pos token.Pos) (lockState, bool)
-	if ok {
-		states := c.atomStates(g)
-		entryState = func(pos token.Pos) (lockState, bool) {
-			best, found := lockState{}, false
-			var bestPos token.Pos = -1
-			for p, s := range states {
-				if p <= pos && p > bestPos {
-					best, bestPos, found = s, p, true
-				}
-			}
-			return best, found
-		}
-	} else {
-		entryState = func(token.Pos) (lockState, bool) { return lockState{}, false }
-	}
-	info := c.info
-	ast.Inspect(c.pf.decl.Body, func(n ast.Node) bool {
-		sel, isSel := n.(*ast.SelectorExpr)
-		if !isSel || !c.excluded[sel] {
-			return true
-		}
-		f := fieldObjOf(info, sel)
-		if f == nil {
-			return true
-		}
-		site := accessSite{pos: sel.Pos(), fn: c.pf.obj, must: lockKeySet{}, may: lockKeySet{}, text: exprText(sel)}
-		if st, found := entryState(sel.Pos()); found {
-			site.must = st.must.clone()
-			site.may = st.may.clone()
-		}
-		af := c.prog.atomicField(f)
-		af.atomics = append(af.atomics, site)
-		return true
-	})
-}
-
-// atomStates recomputes the per-atom entry lock state keyed by atom
-// position — the same fixpoint as run(), kept separate so run() stays a
-// single forward pass.
-func (c *funcFactsCollector) atomStates(g *cfg) map[token.Pos]lockState {
-	out := make(map[token.Pos]lockState)
-	entry := make(map[*cfgBlock]lockState)
-	type workItem struct {
-		blk   *cfgBlock
-		state lockState
-	}
-	work := []workItem{{blk: g.entry, state: lockState{may: lockKeySet{}, must: lockKeySet{}}}}
-	rounds := 0
-	for len(work) > 0 && rounds < 4096 {
-		rounds++
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		state := item.state.clone()
-		for _, at := range item.blk.atoms {
-			if node := atomNode(at); node != nil {
-				if st, seen := out[node.Pos()]; seen {
-					st.may.union(state.may)
-					st.must.intersect(state.must)
-				} else {
-					out[node.Pos()] = state.clone()
-				}
-				if _, isRange := node.(*ast.RangeStmt); !isRange {
-					state = c.applyLockOps(node, at.stmt, state)
-				}
-			}
-		}
-		for _, e := range item.blk.succs {
-			old, seen := entry[e.to]
-			if !seen {
-				entry[e.to] = state.clone()
-				work = append(work, workItem{blk: e.to, state: state.clone()})
-				continue
-			}
-			grew := old.may.union(state.may)
-			shrunk := old.must.intersect(state.must)
-			if grew || shrunk {
-				entry[e.to] = old
-				work = append(work, workItem{blk: e.to, state: old.clone()})
-			}
-		}
-	}
-	return out
-}
-
-// --- called-under-lock fixpoint ----------------------------------------
-
-// computeGuardedFuncs derives, for every module function, the set of lock
-// classes held at EVERY call site (transitively): the *Locked-helper
-// convention made checkable. Functions with no recorded call sites
-// (exported entry points, goroutine payloads) hold nothing.
-func computeGuardedFuncs(prog *Program) {
-	prog.guardedBy = make(map[*types.Func]lockKeySet)
-	// Iterate to a fixpoint: guarded(f) = ∩ over call sites (site.must ∪
-	// guarded(caller)). Monotone increasing from the empty set.
-	for round := 0; round < 8; round++ {
-		changed := false
-		for _, pf := range prog.sortedFuncs() {
-			fn := pf.obj
-			sites := prog.callSites[fn]
-			if len(sites) == 0 {
-				continue
-			}
-			var inter lockKeySet
-			for _, cs := range sites {
-				eff := cs.must.clone()
-				eff.union(prog.guardedBy[cs.caller])
-				if inter == nil {
-					inter = eff
-				} else {
-					inter.intersect(eff)
-				}
-			}
-			if inter == nil {
-				inter = lockKeySet{}
-			}
-			if !inter.equal(prog.guardedBy[fn]) {
-				prog.guardedBy[fn] = inter
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-}
-
-// effectiveHeld returns the locks held at a site including the guarantees
-// of the enclosing function's call sites.
-func (p *Program) effectiveHeld(site accessSite) lockKeySet {
-	eff := site.must.clone()
-	eff.union(p.guardedBy[site.fn])
-	return eff
-}
-
-// --- Program accessors --------------------------------------------------
-
-func (p *Program) chanFact(obj types.Object) *chanFacts {
-	f, ok := p.chans[obj]
-	if !ok {
-		f = &chanFacts{}
-		p.chans[obj] = f
-	}
-	return f
-}
-
-func (p *Program) atomicField(obj types.Object) *atomicFacts {
-	f, ok := p.atomicFields[obj]
-	if !ok {
-		f = &atomicFacts{}
-		p.atomicFields[obj] = f
-	}
-	return f
-}
-
 // --- summary computation ------------------------------------------------
 
-// lockSummarize computes the lock/blocking/close effects of one function:
-// the mutex classes it may acquire, whether it can block unboundedly on
-// the calling goroutine, and the tracked channels it closes — each
-// propagated from callee summaries. Sites annotated //coollint:allow for
-// the consuming analyzer are excluded, so a send documented as
-// never-blocking does not poison every caller.
+// lockSummarize computes the lock and blocking effects of one function:
+// the mutex classes it may acquire and whether it can block unboundedly
+// on the calling goroutine — each propagated from callee summaries. Sites
+// annotated //coollint:allow lockhold are excluded, so a send documented
+// as never-blocking does not poison every caller.
 func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 	info := pf.pkg.Info
-	guardedCloses := markGuardedCloses(info, pf.decl.Body)
 
 	// Comm statements of selects: the select header is the blocking unit,
 	// not the individual operations.
@@ -1254,16 +388,6 @@ func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 				}
 				return true
 			}
-			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "close" && len(x.Args) == 1 {
-				if _, isB := objOf(info, id).(*types.Builtin); isB {
-					if !guardedCloses[x] && !prog.allowedAt(pf.pkg, x.Pos(), "chanliveness") {
-						if obj := trackedChanObj(prog, info, x.Args[0]); obj != nil {
-							s.closes[obj] = true
-						}
-					}
-					return true
-				}
-			}
 			if callee := calleeOf(info, x); callee != nil && isMethod(callee, "sync", "Wait") {
 				setBlock(x.Pos(), "sync Wait")
 			}
@@ -1272,7 +396,7 @@ func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 	})
 
 	// Propagate from synchronously invoked callees only: a call inside a
-	// `go` payload blocks (and locks, and closes) on its own goroutine.
+	// `go` payload blocks (and locks) on its own goroutine.
 	for _, c := range syncCallees(prog, pf) {
 		cs := prog.sums[c]
 		if cs == nil {
@@ -1282,9 +406,6 @@ func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 		if cs.blocks && !s.blocks {
 			s.blocks = true
 			s.blockDesc = cs.blockDesc
-		}
-		for obj := range cs.closes {
-			s.closes[obj] = true
 		}
 	}
 
@@ -1312,7 +433,7 @@ func lockFreshness(prog *Program, pf *progFunc, s *Summary) {
 			case *ast.CallExpr:
 				if name, recv, isMu := mutexMethodOf(info, x); isMu {
 					key, disp, classed := lockClassOf(info, recv)
-					if !classed || inDeferStmt(stmt, x) {
+					if !classed || inDefer(stmt, x) {
 						return true
 					}
 					switch name {
@@ -1429,4 +550,3 @@ func (p *Program) allowedAt(pkg *Package, pos token.Pos, name string) bool {
 	line := tf.Line(pos)
 	return lines[line][name] || lines[line]["*"]
 }
-

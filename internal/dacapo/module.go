@@ -133,9 +133,9 @@ type Context struct {
 
 	// stats are written by the executing goroutine and snapshotted by
 	// Runtime.Stats from other goroutines, hence the atomics.
-	downPkts, downBytes uint64
-	upPkts, upBytes     uint64
-	drops               uint64
+	downPkts, downBytes atomic.Uint64
+	upPkts, upBytes     atomic.Uint64
+	drops               atomic.Uint64
 }
 
 // PauseDown stops the runtime from delivering further down-direction
@@ -162,22 +162,22 @@ func (c *Context) mustBlock(op string) {
 // the transport itself from the lowest module). It blocks for backpressure
 // and fails with ErrStopped during shutdown.
 func (c *Context) EmitDown(p *Packet) error {
-	atomic.AddUint64(&c.downPkts, 1)
-	atomic.AddUint64(&c.downBytes, uint64(p.Len()))
+	c.downPkts.Add(1)
+	c.downBytes.Add(uint64(p.Len()))
 	return c.rt.downFrom(c.stages, c.idx+1, p, c.downEx)
 }
 
 // EmitUp hands a packet to the next module toward the application (or to
 // the application's receive queue from the topmost module).
 func (c *Context) EmitUp(p *Packet) error {
-	atomic.AddUint64(&c.upPkts, 1)
-	atomic.AddUint64(&c.upBytes, uint64(p.Len()))
+	c.upPkts.Add(1)
+	c.upBytes.Add(uint64(p.Len()))
 	return c.rt.upFrom(c.stages, c.idx-1, p, c.upEx)
 }
 
 // Drop records an absorbed packet (failed checksum, duplicate, ACK).
 func (c *Context) Drop(p *Packet) {
-	atomic.AddUint64(&c.drops, 1)
+	c.drops.Add(1)
 	PutPacket(p)
 }
 

@@ -999,10 +999,10 @@ func snapshotStats(s *stage) ModuleStats {
 	c := s.ctx
 	return ModuleStats{
 		Name:        s.mod.Name(),
-		DownPackets: atomic.LoadUint64(&c.downPkts),
-		DownBytes:   atomic.LoadUint64(&c.downBytes),
-		UpPackets:   atomic.LoadUint64(&c.upPkts),
-		UpBytes:     atomic.LoadUint64(&c.upBytes),
-		Drops:       atomic.LoadUint64(&c.drops),
+		DownPackets: c.downPkts.Load(),
+		DownBytes:   c.downBytes.Load(),
+		UpPackets:   c.upPkts.Load(),
+		UpBytes:     c.upBytes.Load(),
+		Drops:       c.drops.Load(),
 	}
 }

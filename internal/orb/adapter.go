@@ -32,11 +32,11 @@ import (
 	"cool/internal/qos"
 )
 
-// Invocation carries one decoded request to a servant. It is only valid
-// during request handling: the ORB recycles the record when Invoke
-// returns, and the buffers Args decodes from once the returned ReplyWriter
-// has run (so a writer may alias decoded arguments, but nothing may be
-// retained beyond that).
+// Invocation carries one decoded request to a servant. It is valid until
+// the ReplyWriter returned by Invoke has run: the returned writer may read
+// the record and alias the arguments Args decodes, but nothing may retain
+// either beyond that, because the ORB then recycles the record and the
+// request buffers.
 type Invocation struct {
 	// Operation is the request's operation name.
 	Operation string

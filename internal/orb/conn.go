@@ -86,7 +86,6 @@ func newClientConn(ch transport.Channel, codec Codec, granted qos.Set, ins *inst
 	c.w = newFrameWriter(ch, sizeH, func() int { return int(c.outstanding.Load()) }, func(err error) {
 		c.teardown(fmt.Errorf("%w: %v", errConnClosed, err))
 	})
-	//coollint:detached -- stopped by teardown: closing the channel makes ReadMessage fail and the loop return
 	go c.readLoop()
 	return c
 }

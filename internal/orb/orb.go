@@ -114,12 +114,6 @@ func WithMessageProtocol(c Codec) Option {
 	return optFunc(func(o *ORB) { o.codecs[c.Name()] = c })
 }
 
-// WithObserver installs an observability event observer (spans, QoS
-// negotiation outcomes) at construction time.
-func WithObserver(ob obs.Observer) Option {
-	return optFunc(func(o *ORB) { o.ins.tracer.SetObserver(ob) })
-}
-
 // WithDrainTimeout bounds the graceful-drain phase of Shutdown: how long
 // the ORB waits for in-flight requests to complete before cancelling
 // their contexts and closing the connections anyway. Zero or negative

@@ -51,6 +51,9 @@ func (s *echoServant) Invoke(inv *orb.Invocation) (orb.ReplyWriter, error) {
 			return nil, giop.MarshalException()
 		}
 		return func(enc *cdr.Encoder) { enc.WriteLong(a + b) }, nil
+	case "qos":
+		// The writer reads the invocation after Invoke has returned.
+		return func(enc *cdr.Encoder) { enc.WriteULong(inv.QoS.Value(qos.Throughput, 0)) }, nil
 	case "slow":
 		time.Sleep(30 * time.Millisecond)
 		return nil, nil
@@ -452,6 +455,44 @@ func TestQoSInvocationOverDacapo(t *testing.T) {
 	if granted := obj.GrantedQoS(); granted.Value(qos.Throughput, 0) != 10_000 {
 		t.Fatalf("transport granted %v", granted)
 	}
+}
+
+// TestReplyWriterSeesItsOwnInvocation pins the Invocation lifetime: a
+// ReplyWriter runs after Invoke has returned and must still read its own
+// invocation while concurrent callers with other QoS sets cycle records
+// through the server's pool.
+func TestReplyWriterSeesItsOwnInvocation(t *testing.T) {
+	_, client, _, obj := newEnv(t, qos.Unconstrained(), "dacapo")
+	const callers, calls = 8, 20
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		want := uint32(1000 * (c + 1))
+		proxy := client.Resolve(obj.Ref())
+		if err := proxy.SetQoSParameter(qos.Set{{Type: qos.Throughput, Request: want, Max: qos.NoLimit, Min: int32(want)}}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				var got uint32
+				err := proxy.Invoke("qos", nil, func(dec *cdr.Decoder) error {
+					var err error
+					got, err = dec.ReadULong()
+					return err
+				})
+				if err != nil {
+					t.Errorf("caller %d: %v", want, err)
+					return
+				}
+				if got != want {
+					t.Errorf("caller with throughput %d was served at %d", want, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBilateralNACK(t *testing.T) {

@@ -250,9 +250,14 @@ func marshalReply(codec Codec, m *giop.Message, id uint32, status giop.ReplyStat
 	return frame, err
 }
 
-// invPool recycles Invocation records handed to servants; see the
-// Invocation lifetime note on Servant.Invoke.
+// invPool recycles Invocation records handed to servants.
 var invPool = sync.Pool{New: func() any { return new(Invocation) }}
+
+// releaseInvocation scrubs an Invocation and returns it to invPool.
+func releaseInvocation(inv *Invocation) {
+	*inv = Invocation{}
+	invPool.Put(inv)
+}
 
 // failReply records a system exception outcome and marshals the exception
 // reply (nil for oneway requests).
@@ -329,10 +334,12 @@ func (o *ORB) handleRequest(ctx context.Context, codec Codec, m *giop.Message, s
 	}
 
 	inv := invPool.Get().(*Invocation)
+	// The returned ReplyWriter may read inv, so the record lives until the
+	// reply is marshalled below, on every return path — still inside the
+	// message's lifetime, which is what lets inv.Args alias the body.
+	defer releaseInvocation(inv)
 	inv.Operation = req.Operation
 	inv.QoS = granted
-	// The invocation only lives until Invoke returns below, well inside the
-	// message's lifetime, and is scrubbed before re-pooling.
 	inv.Args = m.BodyDecoder() //coollint:allow framealias
 	inv.Principal = req.Principal
 	inv.Ctx = ctx
@@ -340,8 +347,6 @@ func (o *ORB) handleRequest(ctx context.Context, codec Codec, m *giop.Message, s
 	body, err := e.servant.Invoke(inv)
 	dispatchDur := time.Since(dispatchStart)
 	stats.dispatch.ObserveDurationTrace(dispatchDur, span.Trace)
-	*inv = Invocation{}
-	invPool.Put(inv)
 	if bound := ins.serverSlowBound(req.QoS); bound > 0 && dispatchDur > bound {
 		c := obs.SlowCall{
 			Side: "server", Op: stats.op,

@@ -23,12 +23,9 @@ type (
 	// TraceEvent is one structured observability event.
 	TraceEvent = obs.Event
 	// Observer receives structured events from an ORB; install one with
-	// (*ORB).SetObserver or the WithObserver option.
+	// (*ORB).SetObserver.
 	Observer = obs.Observer
 )
-
-// WithObserver installs an event observer at ORB construction time.
-var WithObserver = orb.WithObserver
 
 // WithSlowCallThreshold sets a latency floor above which invocations are
 // recorded in the slow-call log even without a QoS Latency bound.
