@@ -57,7 +57,6 @@ func run(args []string) error {
 	loadPayload := fs.Int("load-payload", 256, "load: echo payload octets")
 	loadDur := fs.Duration("load-duration", 2*time.Second, "load: measurement window")
 	loadRate := fs.Int("load-rate", 0, "load: open-loop arrivals per second (0 = closed loop)")
-	loadMaxInFlight := fs.Int("load-maxinflight", 0, "load: per-connection in-flight cap (0 = ORB default)")
 	loadJSON := fs.Bool("load-json", false, "load/pipeline: emit the result as JSON instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,11 +80,10 @@ func run(args []string) error {
 	}
 
 	loadOpts := experiments.LoadOptions{
-		Conc:        *loadConc,
-		Payload:     *loadPayload,
-		Duration:    *loadDur,
-		RatePerSec:  *loadRate,
-		MaxInFlight: *loadMaxInFlight,
+		Conc:       *loadConc,
+		Payload:    *loadPayload,
+		Duration:   *loadDur,
+		RatePerSec: *loadRate,
 	}
 	runs := map[string]func() error{
 		"fig9":        func() error { return runFig9(*quick) },

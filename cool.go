@@ -104,7 +104,6 @@ var (
 	WithCapability     = orb.WithCapability
 	WithKey            = orb.WithKey
 	WithInlineDispatch = orb.WithInlineDispatch
-	WithMaxInFlight    = orb.WithMaxInFlight
 	// WithSlowCallThreshold is re-exported in stats.go next to the other
 	// observability surface.
 )

@@ -64,9 +64,15 @@ func decodeSignal(msg []byte) (byte, *cdr.Decoder, error) {
 
 // Connect performs the initiator side of connection setup over tch: it
 // proposes spec and requested QoS, waits for the answer and, on success,
-// returns a started runtime plus the granted QoS. On rejection the channel
-// is closed and the peer's reason is wrapped in ErrRejected.
-func Connect(tch transport.Channel, reg *Registry, spec Spec, requested qos.Set) (*Runtime, qos.Set, error) {
+// returns a started runtime plus the granted QoS. Connect owns tch: on any
+// failure it is closed, and a rejection wraps the peer's reason in
+// ErrRejected.
+func Connect(tch transport.Channel, reg *Registry, spec Spec, requested qos.Set) (rt *Runtime, granted qos.Set, err error) {
+	defer func() {
+		if err != nil {
+			tch.Close()
+		}
+	}()
 	if err := spec.Validate(reg); err != nil {
 		return nil, nil, err
 	}
@@ -81,18 +87,18 @@ func Connect(tch transport.Channel, reg *Registry, spec Spec, requested qos.Set)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dacapo: read config answer: %w", err)
 	}
+	defer transport.PutBuffer(answer)
 	kind, dec, err := decodeSignal(answer)
 	if err != nil {
 		return nil, nil, err
 	}
 	switch kind {
 	case sigOK:
-		granted, err := qos.DecodeSet(dec)
-		transport.PutBuffer(answer)
+		granted, err = qos.DecodeSet(dec)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: granted qos: %v", ErrBadSignal, err)
 		}
-		rt, err := NewRuntime(spec, reg, tch)
+		rt, err = NewRuntime(spec, reg, tch)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -102,15 +108,11 @@ func Connect(tch transport.Channel, reg *Registry, spec Spec, requested qos.Set)
 		return rt, granted, nil
 	case sigReject:
 		reason, rerr := dec.ReadString()
-		transport.PutBuffer(answer)
-		tch.Close()
 		if rerr != nil {
 			reason = "(no reason)"
 		}
 		return nil, nil, fmt.Errorf("%w: %s", ErrRejected, reason)
 	default:
-		transport.PutBuffer(answer)
-		tch.Close()
 		return nil, nil, fmt.Errorf("%w: unexpected signal %d", ErrBadSignal, kind)
 	}
 }
@@ -118,8 +120,14 @@ func Connect(tch transport.Channel, reg *Registry, spec Spec, requested qos.Set)
 // Accept performs the responder side of connection setup on an inbound
 // channel: it reads the proposed configuration, validates it against the
 // local module library, consults policy, and either instantiates the stack
-// (returning the runtime and the granted QoS) or rejects.
-func Accept(tch transport.Channel, reg *Registry, policy AcceptPolicy) (*Runtime, qos.Set, error) {
+// (returning the runtime and the granted QoS) or rejects. Accept owns tch:
+// on any failure it is closed.
+func Accept(tch transport.Channel, reg *Registry, policy AcceptPolicy) (rt *Runtime, granted qos.Set, err error) {
+	defer func() {
+		if err != nil {
+			tch.Close()
+		}
+	}()
 	if policy == nil {
 		policy = AcceptAll
 	}
@@ -127,39 +135,36 @@ func Accept(tch transport.Channel, reg *Registry, policy AcceptPolicy) (*Runtime
 	if err != nil {
 		return nil, nil, fmt.Errorf("dacapo: read config: %w", err)
 	}
+	defer transport.PutBuffer(msg)
 	kind, dec, err := decodeSignal(msg)
 	if err != nil {
 		return nil, nil, err
 	}
 	if kind != sigConfig {
-		tch.Close()
 		return nil, nil, fmt.Errorf("%w: expected config, got %d", ErrBadSignal, kind)
 	}
 	spec, err := DecodeSpec(dec)
 	if err != nil {
-		transport.PutBuffer(msg)
 		return nil, nil, fmt.Errorf("%w: spec: %v", ErrBadSignal, err)
 	}
 	requested, err := qos.DecodeSet(dec)
-	transport.PutBuffer(msg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: qos: %v", ErrBadSignal, err)
 	}
 
-	reject := func(reason string) (*Runtime, qos.Set, error) {
+	reject := func(reason string) error {
 		_ = tch.WriteMessage(encodeSignal(sigReject, func(enc *cdr.Encoder) {
 			enc.WriteString(reason)
 		}))
-		tch.Close()
-		return nil, nil, fmt.Errorf("%w: %s", ErrRejected, reason)
+		return fmt.Errorf("%w: %s", ErrRejected, reason)
 	}
 
 	if err := spec.Validate(reg); err != nil {
-		return reject(err.Error())
+		return nil, nil, reject(err.Error())
 	}
-	granted, err := policy(spec, requested)
+	granted, err = policy(spec, requested)
 	if err != nil {
-		return reject(err.Error())
+		return nil, nil, reject(err.Error())
 	}
 	ok := encodeSignal(sigOK, func(enc *cdr.Encoder) {
 		qos.EncodeSet(enc, granted)
@@ -167,7 +172,7 @@ func Accept(tch transport.Channel, reg *Registry, policy AcceptPolicy) (*Runtime
 	if err := tch.WriteMessage(ok); err != nil {
 		return nil, nil, fmt.Errorf("dacapo: send accept: %w", err)
 	}
-	rt, err := NewRuntime(spec, reg, tch)
+	rt, err = NewRuntime(spec, reg, tch)
 	if err != nil {
 		return nil, nil, err
 	}

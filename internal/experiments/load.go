@@ -45,8 +45,6 @@ type LoadOptions struct {
 	// RatePerSec switches to open-loop mode: arrivals are generated at
 	// this rate regardless of completions. 0 selects closed loop.
 	RatePerSec int
-	// MaxInFlight is handed to orb.WithMaxInFlight (0 = ORB default).
-	MaxInFlight int
 }
 
 // LoadResult is one load-harness measurement.
@@ -100,12 +98,7 @@ func (o *LoadOptions) withDefaults() LoadOptions {
 func RunLoad(o LoadOptions) (LoadResult, error) {
 	opts := o.withDefaults()
 
-	serverOpts := []orb.Option{orb.WithName("load-server")}
-	clientOpts := []orb.Option{orb.WithName("load-client")}
-	if opts.MaxInFlight > 0 {
-		clientOpts = append(clientOpts, orb.WithMaxInFlight(opts.MaxInFlight))
-	}
-	server := orb.New(serverOpts...)
+	server := orb.New(orb.WithName("load-server"))
 	defer server.Shutdown()
 	if _, err := server.ListenOn(opts.Transport, ""); err != nil {
 		return LoadResult{}, err
@@ -119,7 +112,7 @@ func RunLoad(o LoadOptions) (LoadResult, error) {
 	if err != nil {
 		return LoadResult{}, err
 	}
-	client := orb.New(clientOpts...)
+	client := orb.New(orb.WithName("load-client"))
 	defer client.Shutdown()
 
 	// One proxy per caller: bindings are per-proxy, so callers do not

@@ -64,28 +64,6 @@ func TestRunLoadOpenLoop(t *testing.T) {
 	}
 }
 
-// TestRunLoadInFlightCap exercises the flow-control option end to end: a
-// binding in-flight cap well below the caller count, zero errors.
-func TestRunLoadInFlightCap(t *testing.T) {
-	res, err := RunLoad(LoadOptions{
-		Transport:   "tcp",
-		Conc:        32,
-		Payload:     64,
-		Duration:    200 * time.Millisecond,
-		Warmup:      50 * time.Millisecond,
-		MaxInFlight: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d errors", res.Errors)
-	}
-	if res.Requests == 0 {
-		t.Fatal("no traffic")
-	}
-}
-
 // TestPipelineHidesLatency is experiment E10: over a simulated high-RTT
 // link, pipelined concurrent invocations on one multiplexed connection
 // must beat call-by-call sequential use by a wide margin, because queued

@@ -63,14 +63,13 @@ func (e *timeoutError) Unwrap() []error {
 	return []error{error(e.exc), context.DeadlineExceeded}
 }
 
-// deadlineFor merges the context deadline with the binding's QoS delay
-// bound: a Latency parameter is a one-way bound in microseconds, so a
-// two-way invocation is granted twice that before it times out. The zero
-// time means unbounded.
-func deadlineFor(ctx context.Context, b *binding) time.Time {
+// deadlineFor merges the context deadline with the binding's round-trip
+// bound (see rttBound) counted from start, the time the request was
+// issued. The zero time means unbounded.
+func deadlineFor(ctx context.Context, b *binding, start time.Time) time.Time {
 	var dl time.Time
-	if lat := b.reqQoS.Value(qos.Latency, 0); lat > 0 {
-		dl = time.Now().Add(2 * time.Duration(lat) * time.Microsecond)
+	if d := b.rttBound(); d > 0 {
+		dl = start.Add(d)
 	}
 	if cdl, ok := ctx.Deadline(); ok && (dl.IsZero() || cdl.Before(dl)) {
 		dl = cdl
@@ -113,6 +112,13 @@ type binding struct {
 	// origin, spliced into GIOP 9.9 Request headers instead of re-encoding
 	// the set on every call. nil for empty QoS or non-GIOP codecs.
 	qosFrag []byte
+}
+
+// rttBound is the binding's round-trip QoS delay bound: a Latency
+// parameter is a one-way bound in microseconds, so a two-way invocation is
+// granted twice that. Zero means unbounded.
+func (b *binding) rttBound() time.Duration {
+	return 2 * time.Duration(b.reqQoS.Value(qos.Latency, 0)) * time.Microsecond
 }
 
 // Ref returns the object reference the proxy currently uses.
@@ -305,39 +311,52 @@ func (o *Object) buildRequest(b *binding, id uint32, op string, expectReply bool
 	return frame, err
 }
 
-// result carries a deferred reply.
-type result struct {
-	m   *giop.Message
-	err error
+// call is one issued request: the binding it left on, its metric handles
+// and span, and — for a remote two-way request — its id and registered
+// reply slot (nil for oneway and colocated requests). The synchronous path
+// keeps it on the stack; a Pending embeds it.
+type call struct {
+	o     *Object
+	b     *binding
+	stats *clientOp
+	span  obs.Span
+	id    uint32
+	slot  *replySlot
+	// recorded makes record run once: concurrent Waits on one Pending all
+	// finish the same call.
+	recorded atomic.Bool
 }
 
-// recordCall finishes a synchronous invocation's observability: end-to-end
-// latency (with the span's trace ID as the bucket exemplar) into the
-// per-operation histogram, the client span's outcome, and — when the call
-// exceeded its slow bound — a structured slow-call record. The b == nil /
-// within-bound path adds no allocations over the plain histogram update.
-func (o *Object) recordCall(b *binding, stats *clientOp, span obs.Span, outcome, detail string) {
-	elapsed := time.Since(span.Start)
-	stats.latency.ObserveDurationTrace(elapsed, span.Trace)
-	span.End(outcome, detail)
-	ins := o.orb.ins
-	if bound := ins.clientSlowBound(b); bound > 0 && elapsed > bound {
-		c := obs.SlowCall{
-			Side: "client", Op: stats.op,
-			Bound: bound, Dur: elapsed, Trace: span.Trace,
-		}
-		if b != nil {
-			if !b.colocated {
-				c.Peer = b.profile.Transport + "://" + b.profile.Address
-			} else {
-				c.Peer = "colocated"
-			}
-			if len(b.reqQoS) > 0 {
-				c.QoS = b.reqQoS.String()
-			}
-		}
-		ins.slowCall(c)
+// record finishes the call's observability, once: end-to-end latency
+// (with the span's trace ID as the bucket exemplar) into the per-operation
+// histogram, the client span's outcome, and — when the call exceeded its
+// slow bound — a structured slow-call record. It reports whether this was
+// the first record. The within-bound path adds no allocations over the
+// plain histogram update.
+func (c *call) record(outcome, detail string) bool {
+	if c.recorded.Swap(true) {
+		return false
 	}
+	elapsed := time.Since(c.span.Start)
+	c.stats.latency.ObserveDurationTrace(elapsed, c.span.Trace)
+	c.span.End(outcome, detail)
+	ins := c.o.orb.ins
+	if bound := ins.clientSlowBound(c.b); bound > 0 && elapsed > bound {
+		sc := obs.SlowCall{
+			Side: "client", Op: c.stats.op,
+			Bound: bound, Dur: elapsed, Trace: c.span.Trace,
+		}
+		if !c.b.colocated {
+			sc.Peer = c.b.profile.Transport + "://" + c.b.profile.Address
+		} else {
+			sc.Peer = "colocated"
+		}
+		if len(c.b.reqQoS) > 0 {
+			sc.QoS = c.b.reqQoS.String()
+		}
+		ins.slowCall(sc)
+	}
+	return true
 }
 
 // classifyOutcome maps a decoded reply error onto the span outcome
@@ -364,227 +383,215 @@ func classifyOutcome(err error) (outcome, detail string, nack bool) {
 	return "error", err.Error(), false
 }
 
-// invokeOnce performs one synchronous two-way attempt: marshal into a
-// pooled frame, send, block directly on the pooled reply slot, decode, and
-// recycle message and buffers. The steady-state path allocates nothing and
-// crosses no extra goroutines beyond the connection's reader. The context
-// (and the QoS delay bound, see deadlineFor) bounds the dial and the wait
-// for the reply.
+// ctxDone reports whether err is the expiry of a context or deadline
+// rather than a connection failure.
+func ctxDone(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
+
+// issue is the request half of every invocation mode: bind, count the call
+// and open its span, then either dispatch a colocated request inline —
+// returning its reply (nil for a oneway) — or register a two-way request
+// (a oneway only draws an id), marshal it into a pooled frame and hand it
+// to the connection. Registration fails the same way for every mode: an
+// expired deadline is a TIMEOUT counted in orb.client.deadline_exceeded, a
+// cancellation returns ctx.Err(), and a closed connection invalidates the
+// binding and is retryable (nothing was sent). A failed issue has recorded
+// the call.
 //
-//coollint:hotpath client invocation spine
-func (o *Object) invokeOnce(ctx context.Context, op string, args func(*cdr.Encoder), out func(*cdr.Decoder) error) error {
+// issue hands back a pooled message, so hotalloc treats it as a pool entry
+// point and does not follow it from invokeOnce; it is a root of its own.
+//
+//coollint:hotpath request half of the client invocation spine
+func (o *Object) issue(ctx context.Context, c *call, op string, args func(*cdr.Encoder), expectReply bool) (*giop.Message, error) {
 	b, err := o.bind(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ins := o.orb.ins
-	stats := ins.client(op)
-	stats.calls.Inc()
-	span := ins.tracer.StartSpan(stats.spanName)
+	c.o, c.b, c.stats = o, b, ins.client(op)
+	c.stats.calls.Inc()
+	c.span = ins.tracer.StartSpan(c.stats.spanName)
 
 	if b.colocated {
-		id := o.colocatedID.Add(1)
-		frame, err := o.buildRequest(b, id, op, true, span, args)
+		frame, err := o.buildRequest(b, o.colocatedID.Add(1), op, expectReply, c.span, args)
 		if err != nil {
-			o.recordCall(b, stats, span, "error", "marshal failed")
-			return err
+			c.record("error", "marshal failed")
+			return nil, err
 		}
 		reply, err := o.orb.dispatchColocated(ctx, b.codec, frame)
 		if err != nil {
-			o.recordCall(b, stats, span, "error", err.Error())
-			return err
+			c.record("error", err.Error())
+			return nil, err
 		}
 		if reply == nil {
-			o.recordCall(b, stats, span, "ok", "")
-			return nil
+			return nil, nil // oneway
 		}
 		m, err := b.codec.UnmarshalPooled(reply)
 		if err != nil {
 			transport.PutBuffer(reply)
-			o.recordCall(b, stats, span, "error", err.Error())
-			return err
+			c.record("error", err.Error())
+			return nil, err
 		}
-		return o.finishInvoke(b, stats, span, m, out)
+		return m, nil
 	}
 
-	dl := deadlineFor(ctx, b)
-	id, slot, err := b.conn.register(ctx, dl)
-	if err != nil {
-		// Flow control (WithMaxInFlight) can exhaust the deadline or see the
-		// cancellation before the request is sent; the connection is healthy.
-		if errors.Is(err, context.DeadlineExceeded) {
-			ins.deadlineExceeded.Inc()
-			o.recordCall(b, stats, span, "deadline_exceeded", "")
-			return &timeoutError{exc: giop.TimeoutException()}
+	if expectReply {
+		c.id, c.slot, err = b.conn.register(ctx, deadlineFor(ctx, b, c.span.Start))
+		if err != nil {
+			if ctxDone(err) {
+				// Admission backpressure outlasted the caller's deadline or
+				// saw its cancellation; the connection is healthy.
+				return nil, c.stopped(err)
+			}
+			// The connection died between bind and register; nothing was
+			// sent, so the attempt is safe to retry on a fresh connection.
+			o.invalidate()
+			c.record("error", "connection closed")
+			return nil, &retryableError{err: err}
 		}
-		if errors.Is(err, context.Canceled) {
-			o.recordCall(b, stats, span, "error", "canceled")
-			return err
-		}
-		// The connection died between bind and register; nothing was
-		// sent, so the attempt is safe to retry on a fresh connection.
-		o.invalidate()
-		o.recordCall(b, stats, span, "error", "connection closed")
-		return &retryableError{err: err}
+	} else {
+		c.id = b.conn.nextID.Add(1)
 	}
-	frame, err := o.buildRequest(b, id, op, true, span, args)
+	frame, err := o.buildRequest(b, c.id, op, expectReply, c.span, args)
 	if err != nil {
-		b.conn.unregister(id)
-		b.conn.releaseSlot(slot)
-		o.recordCall(b, stats, span, "error", "marshal failed")
-		return err
+		c.abandon()
+		c.record("error", "marshal failed")
+		return nil, err
 	}
 	flen := len(frame)
 	if err := b.conn.send(frame); err != nil {
-		b.conn.unregister(id)
-		b.conn.releaseSlot(slot)
+		c.abandon()
 		o.invalidate()
-		o.recordCall(b, stats, span, "error", "send failed")
-		return err
+		c.record("error", "send failed")
+		return nil, err
 	}
 	ins.msgOut(giop.MsgRequest, flen)
-	m, err := b.conn.awaitCtx(ctx, dl, slot)
+	return nil, nil
+}
+
+// abandon withdraws a registration whose slot the caller owns outright
+// (no Pending holds it) and recycles the slot.
+func (c *call) abandon() {
+	if c.slot != nil {
+		c.b.conn.unregister(c.id)
+		c.b.conn.releaseSlot(c.slot)
+	}
+}
+
+// timeout counts a deadline expiry and returns it as TIMEOUT.
+func (c *call) timeout() error {
+	c.o.orb.ins.deadlineExceeded.Inc()
+	return &timeoutError{exc: giop.TimeoutException()}
+}
+
+// stopped ends a call whose context or deadline expired before its reply:
+// an expired deadline is a TIMEOUT, a cancellation returns err.
+func (c *call) stopped(err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		c.record("deadline_exceeded", "")
+		return c.timeout()
+	}
+	c.record("canceled", "")
+	return err
+}
+
+// finish is the reply half of every invocation mode: decode the settled
+// reply m (or take the connection failure err) into out, recycle m when
+// the caller owns it (release), classify the outcome, abort the binding on
+// a QoS NACK, and record the call. Only the first finish of a call has
+// side effects; a repeated Wait on a Pending just decodes again.
+func (c *call) finish(m *giop.Message, err error, out func(*cdr.Decoder) error, release bool) error {
 	if err != nil {
-		b.conn.unregister(id)
-		b.conn.releaseSlot(slot)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// The connection is healthy — only this invocation is
-			// abandoned. Tell the server to suppress the reply; a late
-			// one is counted as an orphan by route.
-			o.sendCancel(b, id)
-			if errors.Is(err, context.DeadlineExceeded) {
-				ins.deadlineExceeded.Inc()
-				o.recordCall(b, stats, span, "deadline_exceeded", "")
-				return &timeoutError{exc: giop.TimeoutException()}
-			}
-			o.recordCall(b, stats, span, "canceled", "")
-			return err
+		if c.record("error", err.Error()) {
+			c.o.invalidate()
 		}
-		o.invalidate()
-		o.recordCall(b, stats, span, "error", err.Error())
 		return err
 	}
-	b.conn.releaseSlot(slot)
-	return o.finishInvoke(b, stats, span, m, out)
-}
-
-// sendCancel tells the server to suppress the reply of an abandoned
-// request. Best effort: a broken connection needs no cancel.
-func (o *Object) sendCancel(b *binding, id uint32) {
-	frame, err := b.codec.MarshalCancelRequest(id)
-	if err != nil {
-		return
+	if m == nil {
+		c.record("ok", "") // oneway completion
+		return nil
 	}
-	flen := len(frame)
-	if b.conn.send(frame) == nil {
-		o.orb.ins.msgOut(giop.MsgCancelRequest, flen)
-	}
-}
-
-// finishInvoke decodes a two-way reply, recycles the message, and records
-// the outcome. It owns m.
-func (o *Object) finishInvoke(b *binding, stats *clientOp, span obs.Span, m *giop.Message, out func(*cdr.Decoder) error) error {
-	var err error
 	if m.Reply == nil {
 		err = fmt.Errorf("orb: expected Reply, got %v", m.Header.Type) //coollint:allocok protocol violation; the connection is about to fail
 	} else {
 		err = decodeReply(m, out)
 	}
-	b.codec.ReleaseMessage(m)
-	outcome, detail, nack := classifyOutcome(err)
-	if nack {
-		o.orb.ins.qosOutcome(mClientQoS, "nack")
-		o.recordCall(b, stats, span, "nack", detail)
-		o.abortBinding(b)
-		return err
+	if release {
+		c.b.codec.ReleaseMessage(m)
 	}
-	o.recordCall(b, stats, span, outcome, detail)
+	outcome, detail, nack := classifyOutcome(err)
+	if c.record(outcome, detail) && nack {
+		c.o.orb.ins.qosOutcome(mClientQoS, "nack")
+		c.o.abortBinding(c.b)
+	}
 	return err
 }
 
-// start issues a request and returns a future for its reply. Two-way
-// futures are goroutine-free: the Pending's Wait/Poll select directly on
-// the registered reply slot. Colocated requests dispatch inline, so their
-// Pending is born resolved. The context bounds the dial and the colocated
-// dispatch; waiting for the reply is bounded by the context handed to
-// WaitCtx.
-func (o *Object) start(ctx context.Context, op string, args func(*cdr.Encoder), expectReply bool) (*Pending, error) {
-	b, err := o.bind(ctx)
+// invokeOnce performs one synchronous two-way attempt: issue, wait on the
+// pooled reply slot, recycle the slot, finish. The steady-state path
+// allocates nothing and crosses no extra goroutines beyond the
+// connection's reader. The context (and the QoS delay bound, see
+// deadlineFor) bounds the dial, admission and the wait for the reply.
+//
+//coollint:hotpath client invocation spine
+func (o *Object) invokeOnce(ctx context.Context, op string, args func(*cdr.Encoder), out func(*cdr.Decoder) error) error {
+	var c call
+	m, err := o.issue(ctx, &c, op, args, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ins := o.orb.ins
-	stats := ins.client(op)
-	stats.calls.Inc()
-	span := ins.tracer.StartSpan(stats.spanName)
-	if b.colocated {
-		id := o.colocatedID.Add(1)
-		frame, err := o.buildRequest(b, id, op, expectReply, span, args)
+	if c.slot != nil {
+		m, err = c.b.conn.awaitCtx(ctx, deadlineFor(ctx, c.b, c.span.Start), c.slot, nil)
 		if err != nil {
-			span.End("error", "marshal failed")
-			return nil, err
+			c.abandon()
+			if ctxDone(err) {
+				// The connection is healthy — only this invocation is
+				// abandoned. Tell the server to suppress the reply (best
+				// effort); a late one is counted as an orphan by route.
+				_ = o.sendCancel(c.b, c.id)
+				return c.stopped(err)
+			}
+		} else {
+			c.b.conn.releaseSlot(c.slot)
 		}
-		p := &Pending{o: o, oneway: !expectReply, span: span, stats: stats}
-		reply, err := o.orb.dispatchColocated(ctx, b.codec, frame)
-		switch {
-		case err != nil:
-			p.res = &result{err: err}
-		case reply == nil:
-			p.res = &result{}
-		default:
-			// Never released, like a remote Pending's reply: the Pending
-			// may retain it indefinitely (bodyDecoder after Wait), so
-			// message and frame are left to the garbage collector.
-			m, merr := b.codec.UnmarshalPooled(reply) //coollint:owner the Pending keeps the reply for its lifetime
-			p.res = &result{m: m, err: merr}
-		}
-		return p, nil
 	}
+	return c.finish(m, err, out, true)
+}
 
-	if !expectReply {
-		id := b.conn.nextID.Add(1)
-		frame, err := o.buildRequest(b, id, op, false, span, args)
-		if err != nil {
-			span.End("error", "marshal failed")
-			return nil, err
-		}
-		flen := len(frame)
-		if err := b.conn.send(frame); err != nil {
-			o.invalidate()
-			span.End("error", "send failed")
-			return nil, err
-		}
-		ins.msgOut(giop.MsgRequest, flen)
-		return &Pending{o: o, oneway: true, span: span, stats: stats, res: &result{}}, nil
-	}
-
-	id, slot, err := b.conn.register(ctx, deadlineFor(ctx, b))
+// sendCancel tells the server to suppress the reply of an abandoned
+// request.
+func (o *Object) sendCancel(b *binding, id uint32) error {
+	frame, err := b.codec.MarshalCancelRequest(id)
 	if err != nil {
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			o.invalidate()
-		}
-		span.End("error", "connection closed")
-		return nil, err
-	}
-	frame, err := o.buildRequest(b, id, op, true, span, args)
-	if err != nil {
-		b.conn.unregister(id)
-		b.conn.releaseSlot(slot)
-		span.End("error", "marshal failed")
-		return nil, err
+		return err
 	}
 	flen := len(frame)
 	if err := b.conn.send(frame); err != nil {
-		o.invalidate()
-		span.End("error", "send failed")
+		return err
+	}
+	o.orb.ins.msgOut(giop.MsgCancelRequest, flen)
+	return nil
+}
+
+// start issues a two-way request and returns a future for its reply.
+// Futures are goroutine-free: WaitCtx waits on the registered reply slot
+// through the connection's awaitCtx. A colocated request is dispatched by
+// issue, so its Pending is born resolved. The context bounds the dial,
+// admission and the colocated dispatch; waiting for the reply is bounded
+// by the context handed to WaitCtx.
+func (o *Object) start(ctx context.Context, op string, args func(*cdr.Encoder)) (*Pending, error) {
+	p := new(Pending)
+	m, err := o.issue(ctx, &p.call, op, args, true) //coollint:owner a colocated reply stays with the Pending for its lifetime
+	if err != nil {
 		return nil, err
 	}
-	ins.msgOut(giop.MsgRequest, flen)
-	return &Pending{
-		o: o, b: b, id: id, slot: slot,
-		span: span, stats: stats,
-		resolved: make(chan struct{}),
-	}, nil
+	if p.slot == nil {
+		p.settled, p.reply = true, m
+	} else {
+		p.resolved = make(chan struct{})
+	}
+	return p, nil
 }
 
 // decodeReply maps a Reply message onto the caller's decoder or an error.
@@ -710,32 +717,33 @@ func (o *Object) InvokeOneway(op string, args func(*cdr.Encoder)) error {
 }
 
 // InvokeOnewayCtx is InvokeOneway with the dial bounded by the context.
+// The call is recorded once the request is handed to the connection.
 func (o *Object) InvokeOnewayCtx(ctx context.Context, op string, args func(*cdr.Encoder)) error {
-	p, err := o.start(ctx, op, args, false)
+	var c call
+	m, err := o.issue(ctx, &c, op, args, false)
 	if err != nil {
 		return err
 	}
-	// A oneway Pending is born resolved; consuming it here closes its span
-	// and records the send latency, which discarding it would skip.
-	return p.WaitCtx(ctx, nil)
+	return c.finish(m, nil, nil, true)
 }
 
 // InvokeDeferred starts a deferred-synchronous invocation (the `defer`
 // mode): the returned Pending is acted upon later via Poll/Wait/Cancel.
 func (o *Object) InvokeDeferred(op string, args func(*cdr.Encoder)) (*Pending, error) {
-	return o.start(context.Background(), op, args, true)
+	return o.start(context.Background(), op, args)
 }
 
-// InvokeDeferredCtx is InvokeDeferred with the dial bounded by the
-// context; the reply wait is bounded by the context handed to WaitCtx.
+// InvokeDeferredCtx is InvokeDeferred with the dial and admission bounded
+// by the context, failing like InvokeCtx (a TIMEOUT on expiry); the reply
+// wait is bounded by the context handed to WaitCtx.
 func (o *Object) InvokeDeferredCtx(ctx context.Context, op string, args func(*cdr.Encoder)) (*Pending, error) {
-	return o.start(ctx, op, args, true)
+	return o.start(ctx, op, args)
 }
 
 // InvokeAsync starts an asynchronous invocation and calls notify with the
 // outcome on a separate goroutine (the `notify` mode).
 func (o *Object) InvokeAsync(op string, args func(*cdr.Encoder), notify func(out *cdr.Decoder, err error)) error {
-	p, err := o.start(context.Background(), op, args, true)
+	p, err := o.start(context.Background(), op, args)
 	if err != nil {
 		return err
 	}
@@ -779,7 +787,7 @@ func (o *Object) Locate() (bool, error) {
 		return false, err
 	}
 	o.orb.ins.msgOut(giop.MsgLocateRequest, flen)
-	m, err := b.conn.await(slot)
+	m, err := b.conn.awaitCtx(context.Background(), time.Time{}, slot, nil)
 	if err != nil {
 		o.invalidate()
 		return false, err
@@ -795,89 +803,54 @@ func (o *Object) Locate() (bool, error) {
 	return here, nil
 }
 
-// Pending is an in-flight deferred invocation. Unlike the pre-pooling
-// design there is no per-call await goroutine: Wait and Poll select
-// directly on the registered reply slot. The slot is intentionally not
-// returned to the connection's freelist — concurrent Wait/Poll/Cancel
-// callers may still be selecting on it, and recycling under them could
-// deliver another request's reply.
+// Pending is an in-flight deferred invocation: the issued call plus its
+// settlement. There is no per-call goroutine: WaitCtx waits on the
+// registered reply slot through the connection's awaitCtx and Poll probes
+// it. The slot is intentionally not returned to the connection's freelist
+// — concurrent Wait/Poll/Cancel callers may still be selecting on it, and
+// recycling under them could deliver another request's reply.
 type Pending struct {
-	o      *Object
-	b      *binding
-	id     uint32
-	slot   *replySlot
-	oneway bool
-	span   obs.Span
-	stats  *clientOp
+	call
 
-	// resolved wakes blocked Wait callers when Poll or Cancel settles the
-	// invocation first. Closed at most once, under mu.
+	// resolved wakes blocked Wait callers when Poll, another Wait or Cancel
+	// settles the invocation first. Closed exactly once, under mu, by
+	// whichever settles it; nil for a Pending born resolved.
 	resolved chan struct{}
 
-	mu       sync.Mutex
-	res      *result
-	dead     bool
-	recorded bool
-	signaled bool
+	mu      sync.Mutex
+	settled bool // reply and err hold the outcome
+	// reply is never released, remote or colocated: the Pending may retain
+	// it indefinitely (bodyDecoder after Wait), so message and frame are
+	// left to the garbage collector.
+	reply *giop.Message
+	err   error
+	dead  bool
 }
 
-// signalLocked closes resolved once. Callers hold p.mu.
-func (p *Pending) signalLocked() {
-	if !p.signaled && p.resolved != nil {
-		p.signaled = true
-		close(p.resolved)
-	}
+// settleLocked stores the invocation's outcome and wakes blocked Waits.
+// Callers hold p.mu and have seen the invocation unsettled.
+func (p *Pending) settleLocked(m *giop.Message, err error) {
+	p.settled, p.reply, p.err = true, m, err
+	close(p.resolved)
 }
 
-// record finishes the invocation's observability exactly once: end-to-end
-// latency into the per-operation histogram and the client span's outcome.
-func (p *Pending) record(outcome, detail string) {
-	p.mu.Lock()
-	already := p.recorded
-	p.recorded = true
-	p.mu.Unlock()
-	if already {
-		return
-	}
-	if p.stats != nil && p.o != nil {
-		p.o.recordCall(p.b, p.stats, p.span, outcome, detail)
-		return
-	}
-	if p.stats != nil {
-		p.stats.latency.ObserveDuration(time.Since(p.span.Start))
-	}
-	p.span.End(outcome, detail)
-}
-
-// Poll reports whether the reply has arrived (always true for oneway,
-// colocated, and cancelled requests). It never blocks.
+// Poll reports whether the reply has arrived (always true for colocated
+// and cancelled requests). It never blocks.
 func (p *Pending) Poll() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.res != nil || p.dead || p.slot == nil {
+	if p.settled || p.dead {
 		return true
 	}
 	select {
 	case m := <-p.slot.ch:
-		p.res = &result{m: m}
-		p.signalLocked()
-		return true
-	default:
-	}
-	select {
+		p.settleLocked(m, nil)
 	case <-p.b.conn.done:
-		// Prefer a reply that was routed before teardown.
-		select {
-		case m := <-p.slot.ch:
-			p.res = &result{m: m}
-		default:
-			p.res = &result{err: p.b.conn.errNow()}
-		}
-		p.signalLocked()
-		return true
+		p.settleLocked(p.b.conn.lastReply(p.slot))
 	default:
+		return false
 	}
-	return false
+	return true
 }
 
 // Wait blocks for the reply and decodes it like Invoke; it is WaitCtx
@@ -886,88 +859,30 @@ func (p *Pending) Wait(out func(*cdr.Decoder) error) error {
 	return p.WaitCtx(context.Background(), out)
 }
 
-// deadline merges the context deadline with the binding's QoS delay
-// bound, measured from the request's send time (2× the one-way Latency,
-// covering the round trip). The zero time means unbounded.
-func (p *Pending) deadline(ctx context.Context) time.Time {
-	var dl time.Time
-	if p.b != nil {
-		if lat := p.b.reqQoS.Value(qos.Latency, 0); lat > 0 {
-			dl = p.span.Start.Add(2 * time.Duration(lat) * time.Microsecond)
-		}
-	}
-	if cdl, ok := ctx.Deadline(); ok && (dl.IsZero() || cdl.Before(dl)) {
-		dl = cdl
-	}
-	return dl
-}
-
-// expired reports a WaitCtx deadline expiry. The invocation itself stays
-// pending, so the span is not closed here.
-func (p *Pending) expired() error {
-	if p.o != nil {
-		p.o.orb.ins.deadlineExceeded.Inc()
-	}
-	return &timeoutError{exc: giop.TimeoutException()}
-}
-
 // WaitCtx blocks for the reply and decodes it like Invoke, bounded by the
-// context and by the binding's QoS delay bound (see deadline). On expiry
-// it returns a TIMEOUT system exception (matching errors.Is
-// context.DeadlineExceeded) and leaves the invocation pending: the caller
-// may WaitCtx again or Cancel. It does not hold the Pending's lock while
-// blocked, so concurrent Poll and Cancel stay responsive; a Cancel that
-// wins the race wakes Wait via the resolved channel.
+// context and by the binding's QoS delay bound counted from the send (see
+// deadlineFor). On expiry it returns a TIMEOUT system exception (matching
+// errors.Is context.DeadlineExceeded) and leaves the invocation pending:
+// the caller may WaitCtx again or Cancel. It does not hold the Pending's
+// lock while blocked, so concurrent Poll and Cancel stay responsive; one
+// that settles the invocation first wakes it through resolved.
 func (p *Pending) WaitCtx(ctx context.Context, out func(*cdr.Decoder) error) error {
 	p.mu.Lock()
-	if p.res == nil && !p.dead && p.slot != nil {
-		slot, conn, resolved := p.slot, p.b.conn, p.resolved
+	if !p.settled && !p.dead {
 		p.mu.Unlock()
-		var timeout <-chan time.Time
-		if dl := p.deadline(ctx); !dl.IsZero() {
-			d := time.Until(dl)
-			if d <= 0 {
-				return p.expired()
-			}
-			timer := time.NewTimer(d)
-			defer timer.Stop()
-			timeout = timer.C
+		m, err := p.b.conn.awaitCtx(ctx, deadlineFor(ctx, p.b, p.span.Start), p.slot, p.resolved)
+		if errors.Is(err, context.DeadlineExceeded) {
+			return p.timeout()
 		}
-		select {
-		case m := <-slot.ch:
-			p.mu.Lock()
-			if p.res == nil && !p.dead {
-				p.res = &result{m: m}
-				p.signalLocked()
-			} else {
-				// Cancel won after the reply was already routed: drop it.
-				p.b.codec.ReleaseMessage(m)
-			}
-		case <-conn.done:
-			var r result
-			select {
-			case m := <-slot.ch:
-				r = result{m: m}
-			default:
-				r = result{err: conn.errNow()}
-			}
-			p.mu.Lock()
-			if p.res == nil && !p.dead {
-				rr := r
-				p.res = &rr
-				p.signalLocked()
-			} else if r.m != nil {
-				p.b.codec.ReleaseMessage(r.m)
-			}
-		case <-resolved:
-			p.mu.Lock()
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				return p.expired()
-			}
-			return ctx.Err()
-		case <-timeout:
-			return p.expired()
+		if errors.Is(err, context.Canceled) {
+			return err
+		}
+		p.mu.Lock()
+		if !p.settled && !p.dead {
+			p.settleLocked(m, err)
+		} else if m != nil {
+			// Cancel won after the reply was already routed: drop it.
+			p.b.codec.ReleaseMessage(m)
 		}
 	}
 	if p.dead {
@@ -975,37 +890,19 @@ func (p *Pending) WaitCtx(ctx context.Context, out func(*cdr.Decoder) error) err
 		p.record("canceled", "")
 		return ErrCanceled
 	}
-	r := *p.res
+	m, err := p.reply, p.err
 	p.mu.Unlock()
-	if r.err != nil {
-		p.o.invalidate()
-		p.record("error", r.err.Error())
-		return r.err
-	}
-	if r.m == nil {
-		p.record("ok", "") // oneway completion
-		return nil
-	}
-	err := decodeReply(r.m, out)
-	outcome, detail, nack := classifyOutcome(err)
-	if nack {
-		p.o.orb.ins.qosOutcome(mClientQoS, "nack")
-		p.record("nack", detail)
-		p.o.abortBinding(p.b)
-		return err
-	}
-	p.record(outcome, detail)
-	return err
+	return p.finish(m, err, out, false)
 }
 
 // bodyDecoder exposes the reply body after a successful Wait(nil).
 func (p *Pending) bodyDecoder() *cdr.Decoder {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.res == nil || p.res.m == nil {
+	if p.reply == nil {
 		return cdr.NewDecoder(nil, cdr.BigEndian)
 	}
-	return p.res.m.BodyDecoder()
+	return p.reply.BodyDecoder()
 }
 
 // Cancel abandons the invocation (the `cancel` mode): the request id is
@@ -1015,30 +912,20 @@ func (p *Pending) bodyDecoder() *cdr.Decoder {
 // is a no-op returning nil.
 func (p *Pending) Cancel() error {
 	p.mu.Lock()
-	if p.res != nil || p.dead || p.oneway || p.b == nil || p.slot == nil {
+	if p.settled || p.dead {
 		p.mu.Unlock()
 		return nil
 	}
 	p.dead = true
-	p.signalLocked()
-	slot, conn := p.slot, p.b.conn
+	close(p.resolved)
 	p.mu.Unlock()
-	conn.unregister(p.id)
+	p.b.conn.unregister(p.id)
 	// A reply routed before unregister may sit in the slot; drop it. (A
 	// concurrent Wait may race us to it and drops it the same way.)
 	select {
-	case m := <-slot.ch:
+	case m := <-p.slot.ch:
 		p.b.codec.ReleaseMessage(m)
 	default:
 	}
-	frame, err := p.b.codec.MarshalCancelRequest(p.id)
-	if err != nil {
-		return err
-	}
-	flen := len(frame)
-	if err := conn.send(frame); err != nil {
-		return err
-	}
-	p.o.orb.ins.msgOut(giop.MsgCancelRequest, flen)
-	return nil
+	return p.o.sendCancel(p.b, p.id)
 }

@@ -20,6 +20,12 @@ var errConnClosed = errors.New("orb: connection closed")
 // maxFreeSlots bounds the per-connection reply-slot freelist.
 const maxFreeSlots = 64
 
+// maxInFlight is the per-connection outstanding-request limit: generous
+// enough that ordinary fan-out never blocks, low enough that a stalled
+// server cannot make the pending map (and the retransmission state behind
+// it) grow without bound.
+const maxInFlight = 4096
+
 // replySlot is a reusable single-reply mailbox. The channel has capacity 1
 // and receives at most one message per registration (route deletes the
 // pending entry and sends inside the same critical section), so a send
@@ -52,7 +58,7 @@ type clientConn struct {
 	granted qos.Set
 	ins     *instruments // may be nil in unit tests
 	w       *frameWriter
-	limit   int // max in-flight registrations; <= 0 means unbounded
+	limit   int // max in-flight registrations (maxInFlight outside tests)
 
 	nextID atomic.Uint32
 
@@ -69,13 +75,13 @@ type clientConn struct {
 	done    chan struct{}
 }
 
-func newClientConn(ch transport.Channel, codec Codec, granted qos.Set, ins *instruments, maxInFlight int) *clientConn {
+func newClientConn(ch transport.Channel, codec Codec, granted qos.Set, ins *instruments, limit int) *clientConn {
 	c := &clientConn{
 		ch:      ch,
 		codec:   codec,
 		granted: granted,
 		ins:     ins,
-		limit:   maxInFlight,
+		limit:   limit,
 		pending: make(map[uint32]*replySlot),
 		done:    make(chan struct{}),
 	}
@@ -220,7 +226,7 @@ func (c *clientConn) register(ctx context.Context, deadline time.Time) (uint32, 
 		}
 		return 0, nil, err
 	}
-	if c.limit > 0 && (len(c.pending) >= c.limit || len(c.waiters) > 0) {
+	if len(c.pending) >= c.limit || len(c.waiters) > 0 {
 		fw := &flowWaiter{ready: make(chan struct{})} //coollint:allocok only under max-in-flight backpressure, already off the fast path
 		c.waiters = append(c.waiters, fw)
 		c.mu.Unlock()
@@ -274,7 +280,7 @@ func (c *clientConn) retiredLocked() {
 // happens here, on the waker's goroutine, so admission order is exactly
 // arrival order. Caller holds c.mu.
 func (c *clientConn) admitNextLocked() {
-	for len(c.waiters) > 0 && (c.limit <= 0 || len(c.pending) < c.limit) {
+	for len(c.waiters) > 0 && len(c.pending) < c.limit {
 		fw := c.waiters[0]
 		c.waiters[0] = nil
 		c.waiters = c.waiters[1:]
@@ -392,19 +398,14 @@ func (c *clientConn) send(frame []byte) error {
 	return c.w.send(frame)
 }
 
-// await blocks for the reply to a registered request with no bound.
-func (c *clientConn) await(slot *replySlot) (*giop.Message, error) {
-	return c.awaitCtx(context.Background(), time.Time{}, slot)
-}
-
-// awaitCtx blocks for the reply to a registered request, additionally
-// honouring the context and an absolute deadline (zero means none; a
-// non-zero deadline arms a timer, so the unbounded hot path stays
-// allocation-free). Expiry returns context.DeadlineExceeded; the caller
-// owns unregistering the request and recycling the slot. On teardown it
-// prefers a reply that was routed before the connection died (route's
-// critical section happens before close(done)).
-func (c *clientConn) awaitCtx(ctx context.Context, deadline time.Time, slot *replySlot) (*giop.Message, error) {
+// awaitCtx is the one wait for the reply to a registered request. It
+// returns when the reply lands, the connection is torn down, the context is
+// done, the absolute deadline passes (zero means none; a non-zero deadline
+// arms a timer, so the unbounded hot path stays allocation-free) or stop
+// closes (a nil stop never does). Expiry returns context.DeadlineExceeded
+// and a closed stop returns (nil, nil); the caller owns unregistering the
+// request and recycling the slot.
+func (c *clientConn) awaitCtx(ctx context.Context, deadline time.Time, slot *replySlot, stop <-chan struct{}) (*giop.Message, error) {
 	var timeout <-chan time.Time
 	if !deadline.IsZero() {
 		d := time.Until(deadline)
@@ -419,15 +420,24 @@ func (c *clientConn) awaitCtx(ctx context.Context, deadline time.Time, slot *rep
 	case m := <-slot.ch:
 		return m, nil
 	case <-c.done:
-		select {
-		case m := <-slot.ch:
-			return m, nil
-		default:
-		}
-		return nil, c.errNow()
+		return c.lastReply(slot)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-timeout:
 		return nil, context.DeadlineExceeded
+	case <-stop:
+		return nil, nil
+	}
+}
+
+// lastReply settles a request on a torn-down connection: a reply that was
+// routed before the connection died (route's critical section happens
+// before close(done)), else the teardown error.
+func (c *clientConn) lastReply(slot *replySlot) (*giop.Message, error) {
+	select {
+	case m := <-slot.ch:
+		return m, nil
+	default:
+		return nil, c.errNow()
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // newTestConn dials an inproc pair and returns a client conn whose peer
 // never answers (register-level tests don't need replies).
-func newTestConn(t *testing.T, maxInFlight int) *clientConn {
+func newTestConn(t *testing.T, limit int) *clientConn {
 	t.Helper()
 	mgr := transport.NewInprocManager()
 	ln, err := mgr.Listen("conn-flow-" + t.Name())
@@ -34,7 +34,7 @@ func newTestConn(t *testing.T, maxInFlight int) *clientConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := newClientConn(ch, GIOPCodec{}, nil, nil, maxInFlight)
+	conn := newClientConn(ch, GIOPCodec{}, nil, nil, limit)
 	t.Cleanup(conn.close)
 	return conn
 }
@@ -55,7 +55,7 @@ func retire(c *clientConn, id uint32) {
 // nextID about to wrap and the post-wrap ids still occupied by in-flight
 // requests, register must skip every busy id instead of colliding.
 func TestRegisterSkipsPendingIDsOnWrap(t *testing.T) {
-	conn := newTestConn(t, 0)
+	conn := newTestConn(t, maxInFlight)
 	conn.nextID.Store(math.MaxUint32 - 1)
 
 	// Occupy the ids the wrap will visit first: MaxUint32, 0, 1.
@@ -84,7 +84,7 @@ func TestRegisterSkipsPendingIDsOnWrap(t *testing.T) {
 // TestRegisterClosedFirst pins the closed-before-allocate order: a
 // torn-down conn returns its recorded teardown error and burns no ids.
 func TestRegisterClosedFirst(t *testing.T) {
-	conn := newTestConn(t, 0)
+	conn := newTestConn(t, maxInFlight)
 	boom := errors.New("peer fell over")
 	conn.teardown(boom)
 

@@ -33,7 +33,7 @@ func TestUnexpectedMessageTearsDownWithType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := newClientConn(clientCh, GIOPCodec{}, nil, nil, 0)
+	conn := newClientConn(clientCh, GIOPCodec{}, nil, nil, maxInFlight)
 	defer conn.close()
 
 	serverCh := <-accepted

@@ -49,10 +49,9 @@ type dialCall struct {
 // management" slice of the ORB core; the ORB delegates to it and the
 // invocation layer never touches transport managers directly.
 type connManager struct {
-	registry    *transport.Registry
-	ins         *instruments // may be nil in unit tests
-	resolve     func(protocol string) (Codec, error)
-	maxInFlight int // per-connection in-flight limit handed to newClientConn
+	registry *transport.Registry
+	ins      *instruments // may be nil in unit tests
+	resolve  func(protocol string) (Codec, error)
 
 	mu      sync.Mutex
 	conns   map[connKey]*clientConn
@@ -60,14 +59,13 @@ type connManager struct {
 	closed  bool
 }
 
-func newConnManager(registry *transport.Registry, ins *instruments, resolve func(string) (Codec, error), maxInFlight int) *connManager {
+func newConnManager(registry *transport.Registry, ins *instruments, resolve func(string) (Codec, error)) *connManager {
 	return &connManager{
-		registry:    registry,
-		ins:         ins,
-		resolve:     resolve,
-		maxInFlight: maxInFlight,
-		conns:       make(map[connKey]*clientConn),
-		dialing:     make(map[connKey]*dialCall),
+		registry: registry,
+		ins:      ins,
+		resolve:  resolve,
+		conns:    make(map[connKey]*clientConn),
+		dialing:  make(map[connKey]*dialCall),
 	}
 }
 
@@ -183,7 +181,7 @@ func (cm *connManager) dial(ctx context.Context, codec Codec, p ior.Profile, req
 			return nil, nil, err
 		}
 	}
-	return newClientConn(ch, codec, granted, cm.ins, cm.maxInFlight), granted, nil
+	return newClientConn(ch, codec, granted, cm.ins, maxInFlight), granted, nil
 }
 
 // drop removes and closes a cached client connection (used after a QoS

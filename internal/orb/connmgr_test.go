@@ -67,7 +67,7 @@ func TestConnManagerShutdownRace(t *testing.T) {
 	}()
 
 	g := &gateManager{Manager: inner, gate: make(chan struct{})}
-	cm := newConnManager(transport.NewRegistry(g), newInstruments(), func(string) (Codec, error) { return GIOPCodec{}, nil }, 0)
+	cm := newConnManager(transport.NewRegistry(g), newInstruments(), func(string) (Codec, error) { return GIOPCodec{}, nil })
 	profile := ior.Profile{Transport: "inproc", Address: "cm-race"}
 
 	res := make(chan error, 1)
@@ -126,7 +126,7 @@ func TestConnManagerSingleFlightDial(t *testing.T) {
 	}()
 
 	g := &gateManager{Manager: inner, gate: make(chan struct{})}
-	cm := newConnManager(transport.NewRegistry(g), newInstruments(), func(string) (Codec, error) { return GIOPCodec{}, nil }, 0)
+	cm := newConnManager(transport.NewRegistry(g), newInstruments(), func(string) (Codec, error) { return GIOPCodec{}, nil })
 	defer cm.close()
 	profile := ior.Profile{Transport: "inproc", Address: "cm-flight"}
 
@@ -189,7 +189,7 @@ func TestConnManagerDialCancel(t *testing.T) {
 	}()
 
 	g := &gateManager{Manager: inner, gate: make(chan struct{})}
-	cm := newConnManager(transport.NewRegistry(g), newInstruments(), func(string) (Codec, error) { return GIOPCodec{}, nil }, 0)
+	cm := newConnManager(transport.NewRegistry(g), newInstruments(), func(string) (Codec, error) { return GIOPCodec{}, nil })
 	profile := ior.Profile{Transport: "inproc", Address: "cm-cancel"}
 
 	owner := make(chan error, 1)

@@ -57,7 +57,7 @@ const (
 	mClientFlushBatch = "orb.client.flush_batch"
 	mServerFlushBatch = "orb.server.flush_batch"
 	// mFlowWait records how long admissions blocked on the per-connection
-	// in-flight limit (WithMaxInFlight). Only blocked registrations are
+	// in-flight limit (maxInFlight). Only blocked registrations are
 	// observed; an uncontended register contributes nothing.
 	mFlowWait = "orb.client.flow_control_wait_us"
 )
@@ -169,17 +169,13 @@ func newInstruments() *instruments {
 }
 
 // clientSlowBound returns the effective client-side slow bound for a
-// binding: the two-way QoS Latency bound (one-way bound × 2, matching
-// deadlineFor) when present, tightened by the configured threshold. Zero
-// disables slow-call detection. No allocations: this runs per invocation.
+// binding: its round-trip QoS bound (see rttBound) when present, tightened
+// by the configured threshold. Zero disables slow-call detection. No
+// allocations: this runs per invocation.
 func (ins *instruments) clientSlowBound(b *binding) time.Duration {
 	bound := ins.slowThreshold
-	if b != nil {
-		if lat := b.reqQoS.Value(qos.Latency, 0); lat > 0 {
-			if q := 2 * time.Duration(lat) * time.Microsecond; bound == 0 || q < bound {
-				bound = q
-			}
-		}
+	if q := b.rttBound(); q > 0 && (bound == 0 || q < bound) {
+		bound = q
 	}
 	return bound
 }

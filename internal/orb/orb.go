@@ -17,12 +17,6 @@ import (
 // requests to complete before cancelling their contexts.
 const defaultDrainTimeout = 5 * time.Second
 
-// defaultMaxInFlight is the per-connection outstanding-request limit when
-// WithMaxInFlight is not given: generous enough that ordinary fan-out never
-// blocks, low enough that a stalled server cannot make the pending map (and
-// the retransmission state behind it) grow without bound.
-const defaultMaxInFlight = 4096
-
 // ORB is one COOL runtime instance: object adapter, server endpoints, and
 // client-side connection management over the generic transport layer.
 type ORB struct {
@@ -34,7 +28,6 @@ type ORB struct {
 	ins          *instruments
 	cm           *connManager
 	drainTimeout time.Duration
-	maxInFlight  int
 
 	mu        sync.Mutex
 	endpoints []endpoint
@@ -131,26 +124,16 @@ func WithSlowCallThreshold(d time.Duration) Option {
 	return optFunc(func(o *ORB) { o.ins.slowThreshold = d })
 }
 
-// WithMaxInFlight bounds the requests outstanding (sent, reply pending) on
-// each client connection. Registrations beyond the limit block in FIFO
-// order — context- and deadline-aware — until a reply retires one, giving
-// the client natural backpressure instead of an unbounded pending map.
-// n <= 0 removes the limit; the default is 4096.
-func WithMaxInFlight(n int) Option {
-	return optFunc(func(o *ORB) { o.maxInFlight = n })
-}
-
 // New creates an ORB with the standard tcp and inproc transports
 // registered.
 func New(opts ...Option) *ORB {
 	o := &ORB{
-		name:        "cool",
-		registry:    transport.NewRegistry(transport.NewTCPManager(), transport.NewInprocManager()),
-		adapter:     NewAdapter(),
-		accepted:    make(map[transport.Channel]acceptedConn),
-		codecs:      map[string]Codec{"giop": GIOPCodec{}},
-		ins:         newInstruments(),
-		maxInFlight: defaultMaxInFlight,
+		name:     "cool",
+		registry: transport.NewRegistry(transport.NewTCPManager(), transport.NewInprocManager()),
+		adapter:  NewAdapter(),
+		accepted: make(map[transport.Channel]acceptedConn),
+		codecs:   map[string]Codec{"giop": GIOPCodec{}},
+		ins:      newInstruments(),
 	}
 	o.registry.SetHooks(&transport.Hooks{
 		Opened: func(scheme string) {
@@ -168,7 +151,7 @@ func New(opts ...Option) *ORB {
 	for _, opt := range opts {
 		opt.apply(o)
 	}
-	o.cm = newConnManager(o.registry, o.ins, o.codec, o.maxInFlight)
+	o.cm = newConnManager(o.registry, o.ins, o.codec)
 	return o
 }
 

@@ -3,6 +3,7 @@ package cool_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cool"
 	"cool/internal/cdr"
@@ -120,7 +121,13 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	cs := cool.Metrics(client).Snapshot()
+	// The server counts a reply once its send returns, which can be after
+	// the client has already read it: wait for the last count to land.
 	ss := cool.Metrics(server).Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); ss.Counter("giop.out.msgs{type=Reply}") < calls && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		ss = cool.Metrics(server).Snapshot()
+	}
 
 	// (b) Non-zero latency histograms on both sides.
 	for _, probe := range []struct {
