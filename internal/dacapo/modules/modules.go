@@ -12,8 +12,10 @@
 //     mechanism whose poor throughput Figure 9 shows), "window"
 //     (sliding-window go-back-N)
 //   - traffic shaping  — "ratelimit" (token bucket)
-//   - confidentiality  — "xorcipher" (toy XOR stream; stands in for
-//     de-/encryption protocol functions)
+//   - confidentiality  — "xorcipher" (toy repeating-key XOR stream; stands
+//     in for de-/encryption protocol functions. Optional arg "key" of at
+//     most 256 octets; modules without one share a read-only block of the
+//     default key)
 //   - compression      — "rle" (PackBits run-length coding)
 //   - segmentation     — "fragment" (MTU-bounded fragmentation/reassembly)
 //

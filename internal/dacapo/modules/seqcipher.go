@@ -1,7 +1,10 @@
 package modules
 
 import (
+	"bytes"
+	"crypto/subtle"
 	"encoding/binary"
+	"fmt"
 
 	"cool/internal/dacapo"
 )
@@ -55,26 +58,54 @@ func (m *seqNum) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 // repeating-key XOR stream: enough to demonstrate that a confidentiality
 // module slots into the graph and that both directions invert each other.
 // It is NOT cryptographically secure and is documented as a stand-in.
+//
+// The key is expanded once into a block of whole key repetitions, at least
+// minCipherBlock octets long. apply XORs the payload block by block with
+// crypto/subtle.XORBytes; every block starts at a multiple of the key
+// length, so the ciphertext is octet-identical to XORing data[i] with
+// key[i%len(key)]. The default key's block is one package-level value
+// shared by every module built without a key argument, so building one
+// allocates only the module; blocks are never written after construction
+// and must stay read-only. A spec arrives over the wire in Accept, so keys
+// longer than maxCipherKey octets are refused: the peer cannot choose the
+// size of the block this side allocates.
 type xorCipher struct {
 	dacapo.BaseModule
 
-	key []byte
+	block []byte
+}
+
+const (
+	minCipherBlock = 512
+	maxCipherKey   = 256
+)
+
+var defaultCipherBlock = cipherBlock("dacapo-default-key")
+
+// cipherBlock repeats key until the block holds at least minCipherBlock
+// octets.
+func cipherBlock(key string) []byte {
+	reps := (minCipherBlock + len(key) - 1) / len(key)
+	return bytes.Repeat([]byte(key), reps)
 }
 
 func newXORCipher(args dacapo.Args) (dacapo.Module, error) {
-	key := []byte(args["key"])
-	if len(key) == 0 {
-		key = []byte("dacapo-default-key")
+	key := args["key"]
+	if key == "" {
+		return &xorCipher{block: defaultCipherBlock}, nil
 	}
-	return &xorCipher{key: key}, nil
+	if len(key) > maxCipherKey {
+		return nil, fmt.Errorf("modules: xorcipher key of %d octets exceeds %d", len(key), maxCipherKey)
+	}
+	return &xorCipher{block: cipherBlock(key)}, nil
 }
 
 func (m *xorCipher) Name() string { return "xorcipher" }
 
 func (m *xorCipher) apply(p *dacapo.Packet) {
 	data := p.WritableBytes()
-	for i := range data {
-		data[i] ^= m.key[i%len(m.key)]
+	for len(data) > 0 {
+		data = data[subtle.XORBytes(data, data, m.block):]
 	}
 }
 
