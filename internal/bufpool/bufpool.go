@@ -1,18 +1,23 @@
-// Package bufpool is the shared frame arena of the ORB: a size-classed
-// sync.Pool of byte buffers used for GIOP frames on both the encode path
-// (cdr/giop marshal into pooled buffers) and the receive path (transport
-// ReadMessage fills pooled buffers).
+// Package bufpool owns every pool in the ORB. Get and Put are the shared
+// frame arena: a size-classed sync.Pool of byte buffers used for GIOP
+// frames on both the encode path (cdr/giop marshal into pooled buffers)
+// and the receive path (transport ReadMessage fills pooled buffers).
+// Pool[T] recycles typed objects — GIOP messages and headers, CDR
+// encoders, invocations, Da CaPo packet headers and batches — through the
+// same ledger, so the pooldebug build checks buffers and objects alike.
 //
 // Ownership contract: Get hands the caller exclusive ownership of a
-// zero-length buffer with at least the requested capacity. Put returns a
-// buffer to the arena; the caller must not touch it (or any slice aliasing
-// it) afterwards. Putting a buffer that did not come from Get is allowed —
-// it simply joins the arena — so callers can recycle unconditionally.
+// zero-length buffer with at least the requested capacity (or of a reset
+// object). Put returns it; the caller must not touch it (or any slice
+// aliasing it) afterwards. Putting a buffer or object that did not come
+// from Get is allowed — it simply joins the pool — so callers can recycle
+// unconditionally.
 package bufpool
 
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Size classes are powers of two from minClass to maxClass. Buffers larger
@@ -67,11 +72,11 @@ func Get(n int) []byte {
 			b := h.b
 			h.b = nil
 			spare.Put(h)
-			trackGet(b)
+			trackGet(unsafe.Pointer(unsafe.SliceData(b)), b)
 			return b[:0]
 		}
 		b := make([]byte, 0, minClass<<c)
-		trackGet(b)
+		trackGet(unsafe.Pointer(unsafe.SliceData(b)), b)
 		return b
 	}
 	return make([]byte, 0, n)
@@ -87,8 +92,37 @@ func Put(b []byte) {
 	if c < 0 || cap(b) > maxClass {
 		return
 	}
-	trackPut(b)
+	b = b[:0:cap(b)]
+	trackPut(unsafe.Pointer(unsafe.SliceData(b)), b)
 	h := spare.Get().(*buf)
-	h.b = b[:0:cap(b)]
+	h.b = b
 	pools[c].Put(h)
+}
+
+// Pool is a typed object pool on the shared ledger. reset runs on every
+// Put, so Get always returns a scrubbed object and the scrub code lives in
+// one place per type.
+type Pool[T any] struct {
+	p     sync.Pool
+	reset func(*T)
+}
+
+// NewPool returns a Pool whose Put scrubs objects with reset.
+func NewPool[T any](reset func(*T)) *Pool[T] {
+	return &Pool[T]{p: sync.Pool{New: func() any { return new(T) }}, reset: reset}
+}
+
+// Get returns an object exclusively owned by the caller until Put.
+func (p *Pool[T]) Get() *T {
+	x := p.p.Get().(*T)
+	trackGet(unsafe.Pointer(x), x)
+	return x
+}
+
+// Put resets x and returns it to the pool; the caller must not touch x
+// afterwards.
+func (p *Pool[T]) Put(x *T) {
+	trackPut(unsafe.Pointer(x), x)
+	p.reset(x)
+	p.p.Put(x)
 }

@@ -18,18 +18,20 @@ const DebugEnabled = true
 const poisonByte = 0xDB
 
 type debugEntry struct {
-	// buf pins the backing array: while an entry exists its address cannot
-	// be reused by a fresh allocation, so pointer keys stay unambiguous.
-	buf   []byte
+	// obj pins the buffer's backing array or the pooled object: while an
+	// entry exists its address cannot be reused by a fresh allocation, so
+	// address keys stay unambiguous.
+	obj   any
 	stack string
 }
 
+// One ledger for buffers and typed objects, keyed by address.
 var (
 	debugMu sync.Mutex
-	// liveBufs holds buffers handed out by Get and not yet returned.
-	liveBufs = map[unsafe.Pointer]debugEntry{}
-	// freeBufs holds buffers returned by Put and not yet re-acquired.
-	freeBufs = map[unsafe.Pointer]debugEntry{}
+	// live holds what Get handed out and Put has not yet taken back.
+	live = map[unsafe.Pointer]debugEntry{}
+	// free holds what Put took back and Get has not yet handed out again.
+	free = map[unsafe.Pointer]debugEntry{}
 )
 
 func debugStack() string {
@@ -38,45 +40,54 @@ func debugStack() string {
 	return string(sb[:n])
 }
 
-// trackGet registers a buffer leaving the arena through Get.
-func trackGet(b []byte) {
-	key := unsafe.Pointer(unsafe.SliceData(b))
+// describe names a ledger entry: a buffer by its capacity, an object by
+// its type.
+func describe(obj any) string {
+	if b, ok := obj.([]byte); ok {
+		return fmt.Sprintf("buffer cap=%d", cap(b))
+	}
+	return fmt.Sprintf("%T", obj)
+}
+
+// trackGet registers obj leaving its pool through Get.
+func trackGet(key unsafe.Pointer, obj any) {
 	debugMu.Lock()
-	delete(freeBufs, key)
-	liveBufs[key] = debugEntry{buf: b[:0:cap(b)], stack: debugStack()}
+	delete(free, key)
+	live[key] = debugEntry{obj: obj, stack: debugStack()}
 	debugMu.Unlock()
 }
 
-// trackPut checks and registers a buffer re-entering the arena through
-// Put, panicking with the competing stacks on a double release, and
-// poisons the buffer contents. Runs before the buffer re-enters the
-// sync.Pool, so the poison cannot race a legitimate re-acquisition.
-func trackPut(b []byte) {
-	key := unsafe.Pointer(unsafe.SliceData(b))
+// trackPut checks and registers obj re-entering its pool through Put,
+// panicking with the competing stacks on a double release, and poisons
+// buffer contents. Runs before obj re-enters the sync.Pool, so neither the
+// poison nor a reset can race a legitimate re-acquisition.
+func trackPut(key unsafe.Pointer, obj any) {
 	now := debugStack()
 	debugMu.Lock()
-	if prev, ok := freeBufs[key]; ok {
+	if prev, ok := free[key]; ok {
 		debugMu.Unlock()
-		panic(fmt.Sprintf("bufpool: double Put of buffer cap=%d\n--- first release:\n%s\n--- second release:\n%s", cap(b), prev.stack, now))
+		panic(fmt.Sprintf("bufpool: double Put of %s\n--- first release:\n%s\n--- second release:\n%s", describe(obj), prev.stack, now))
 	}
-	delete(liveBufs, key)
-	freeBufs[key] = debugEntry{buf: b[:0:cap(b)], stack: now}
+	delete(live, key)
+	free[key] = debugEntry{obj: obj, stack: now}
 	debugMu.Unlock()
-	p := b[:cap(b)]
-	for i := range p {
-		p[i] = poisonByte
+	if b, ok := obj.([]byte); ok {
+		p := b[:cap(b)]
+		for i := range p {
+			p[i] = poisonByte
+		}
 	}
 }
 
-// Leaks formats every buffer currently held outside the arena with its
-// acquisition stack. At a quiescent point (after releasing everything) a
-// non-empty result means a leaked acquisition.
+// Leaks formats every buffer and object currently held outside its pool
+// with its acquisition stack. At a quiescent point (after releasing
+// everything) a non-empty result means a leaked acquisition.
 func Leaks() []string {
 	debugMu.Lock()
 	defer debugMu.Unlock()
 	var out []string
-	for _, e := range liveBufs {
-		out = append(out, fmt.Sprintf("bufpool: leaked buffer cap=%d acquired at:\n%s", cap(e.buf), e.stack))
+	for _, e := range live {
+		out = append(out, fmt.Sprintf("bufpool: leaked %s acquired at:\n%s", describe(e.obj), e.stack))
 	}
 	return out
 }
@@ -84,7 +95,7 @@ func Leaks() []string {
 // DebugReset forgets all tracking state (test isolation).
 func DebugReset() {
 	debugMu.Lock()
-	liveBufs = map[unsafe.Pointer]debugEntry{}
-	freeBufs = map[unsafe.Pointer]debugEntry{}
+	live = map[unsafe.Pointer]debugEntry{}
+	free = map[unsafe.Pointer]debugEntry{}
 	debugMu.Unlock()
 }

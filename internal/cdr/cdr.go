@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"cool/internal/bufpool"
 )
@@ -70,18 +69,15 @@ func NewEncoderBuf(buf []byte, littleEndian bool) *Encoder {
 	return &Encoder{buf: buf, little: littleEndian}
 }
 
-var encPool = sync.Pool{New: func() any { return new(Encoder) }}
+var encPool = bufpool.NewPool(func(e *Encoder) { *e = Encoder{} })
 
 // AcquireEncoder returns a pooled Encoder writing into a pooled buffer.
 // Steady-state acquisition performs no heap allocation. Finish with either
 // Detach (keep the bytes, recycle the shell) or ReleaseEncoder (recycle
 // both).
 func AcquireEncoder(littleEndian bool) *Encoder {
-	e := encPool.Get().(*Encoder)
-	if e.buf == nil {
-		e.buf = bufpool.Get(minEncBuf) //coollint:owner encoder keeps its backing buffer
-	}
-	e.buf = e.buf[:0]
+	e := encPool.Get()
+	e.buf = bufpool.Get(minEncBuf) //coollint:owner encoder keeps its backing buffer
 	e.little = littleEndian
 	return e
 }
@@ -114,8 +110,6 @@ func (e *Encoder) grow(need int) {
 // frame has been written or decoded, and do not use the Encoder afterwards.
 func (e *Encoder) Detach() []byte {
 	b := e.buf
-	e.buf = nil
-	e.little = false
 	encPool.Put(e)
 	return b
 }
@@ -123,11 +117,7 @@ func (e *Encoder) Detach() []byte {
 // ReleaseEncoder recycles an acquired Encoder and its buffer without
 // detaching the bytes. Use on error paths where the stream is abandoned.
 func ReleaseEncoder(e *Encoder) {
-	if e.buf != nil {
-		bufpool.Put(e.buf)
-		e.buf = nil
-	}
-	e.little = false
+	bufpool.Put(e.buf)
 	encPool.Put(e)
 }
 

@@ -56,11 +56,13 @@ func (m *fragment) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 		count = 1 // empty payload still travels as one fragment
 	}
 	if count > maxFragCount {
+		dacapo.PutPacket(p)
 		return fmt.Errorf("modules: payload of %d octets needs %d fragments (max %d)", len(data), count, maxFragCount)
 	}
 	id := m.nextID
 	m.nextID++
-	for idx := 0; idx < count; idx++ {
+	var err error
+	for idx := 0; idx < count && err == nil; idx++ {
 		lo := idx * chunk
 		hi := min(lo+chunk, len(data))
 		fp := dacapo.GetPacket(data[lo:hi])
@@ -68,12 +70,10 @@ func (m *fragment) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 		binary.BigEndian.PutUint32(hdr[0:4], id)
 		binary.BigEndian.PutUint16(hdr[4:6], uint16(idx))
 		binary.BigEndian.PutUint16(hdr[6:8], uint16(count))
-		if err := ctx.EmitDown(fp); err != nil {
-			return err
-		}
+		err = ctx.EmitDown(fp)
 	}
 	dacapo.PutPacket(p)
-	return nil
+	return err
 }
 
 func (m *fragment) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {

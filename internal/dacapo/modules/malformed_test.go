@@ -3,10 +3,12 @@ package modules_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cool/internal/bufpool"
 	"cool/internal/dacapo"
 )
 
@@ -36,6 +38,26 @@ func moduleDrops(t *testing.T, rt *dacapo.Runtime, name string) uint64 {
 	}
 	t.Fatalf("module %q not in stack", name)
 	return 0
+}
+
+// TestFragmentOversizedSendReleasesPacket: a send needing more than
+// maxFragCount fragments fails, and the fragment module, which owns the
+// packet it was handed, releases it on that error path too. Under -tags
+// pooldebug the shared ledger would otherwise still list the header.
+func TestFragmentOversizedSendReleasesPacket(t *testing.T) {
+	bufpool.DebugReset()
+	a, b := newHookedPair(nil)
+	ra, _ := startStacks(t, dacapo.Spec{Modules: []dacapo.ModuleSpec{
+		{Name: "fragment", Args: dacapo.Args{"mtu": "9"}}, // one payload octet per fragment
+	}}, a, b)
+	if err := ra.Send(make([]byte, 1<<14+1)); err == nil {
+		t.Fatal("send needing more than maxFragCount fragments succeeded")
+	}
+	for _, l := range bufpool.Leaks() {
+		if strings.Contains(l, "*dacapo.Packet") {
+			t.Fatalf("fragment error path kept its packet:\n%s", l)
+		}
+	}
 }
 
 // TestFragmentRejectsOversizedCount: a forged fragment header claiming a

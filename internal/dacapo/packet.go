@@ -25,7 +25,6 @@ package dacapo
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"cool/internal/bufpool"
 )
@@ -59,7 +58,7 @@ type Packet struct {
 
 // hdrPool recycles Packet headers themselves; buffers cycle separately
 // through bufpool so header reuse never pins payload memory.
-var hdrPool = sync.Pool{New: func() any { return new(Packet) }}
+var hdrPool = bufpool.NewPool(func(p *Packet) { *p = Packet{} })
 
 // GetPacketSized returns a pooled packet with headroom and capacity for at
 // least size payload octets; the payload starts empty, for callers that
@@ -67,7 +66,7 @@ var hdrPool = sync.Pool{New: func() any { return new(Packet) }}
 //
 //coollint:allocator pooled packet acquisition; storage comes from bufpool
 func GetPacketSized(size int) *Packet {
-	p := hdrPool.Get().(*Packet)
+	p := hdrPool.Get()
 	p.buf = bufpool.Get(defaultHeadroom + size) //coollint:owner packet owns the buffer; PutPacket returns it to the arena
 	p.buf = p.buf[:cap(p.buf)]
 	p.off = defaultHeadroom
@@ -89,7 +88,7 @@ func GetPacket(payload []byte) *Packet {
 // packet without copying; off marks where the payload starts. Releasing
 // the packet returns the frame to the arena.
 func wrapMessage(msg []byte, off int) *Packet {
-	p := hdrPool.Get().(*Packet)
+	p := hdrPool.Get()
 	p.buf = msg
 	p.off = off
 	p.end = len(msg)
@@ -102,7 +101,7 @@ func wrapMessage(msg []byte, off int) *Packet {
 // module that needs headroom or growth migrates the payload into an
 // arena buffer transparently.
 func wrapBorrowed(data []byte) *Packet {
-	p := hdrPool.Get().(*Packet)
+	p := hdrPool.Get()
 	p.buf = data
 	p.off = 0
 	p.end = len(data)
@@ -118,12 +117,9 @@ func PutPacket(p *Packet) {
 	if p == nil {
 		return
 	}
-	if p.owned && p.buf != nil {
+	if p.owned {
 		bufpool.Put(p.buf)
 	}
-	p.buf = nil
-	p.off, p.end = 0, 0
-	p.owned = false
 	hdrPool.Put(p)
 }
 

@@ -179,8 +179,11 @@ func TestSpliceLeaksNothing(t *testing.T) {
 		_, err := ra.Reconfigure(specB, nil)
 		done <- err
 	}()
-	// Drive the responder until the splice lands there.
+	// Drive the responder until the splice lands there, and until Close
+	// ends it: a message it holds between Recv and PutBuffer is live.
+	drained := make(chan struct{})
 	go func() {
+		defer close(drained)
 		for {
 			msg, err := rb.Recv()
 			if err != nil {
@@ -201,8 +204,32 @@ func TestSpliceLeaksNothing(t *testing.T) {
 	rb.Close()
 	a.Close()
 	b.Close()
+	<-drained
 
 	if leaks := bufpool.Leaks(); len(leaks) != 0 {
 		t.Fatalf("arena leaks after splice + close:\n%s", strings.Join(leaks, "\n"))
 	}
+}
+
+// TestDoublePutPacketPanics: a second PutPacket of the same packet hands
+// its header back to the header pool twice, so two later acquisitions
+// would share it; the ledger panics naming the type and both releases.
+func TestDoublePutPacketPanics(t *testing.T) {
+	bufpool.DebugReset()
+	p := GetPacketSized(8)
+	PutPacket(p)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("second PutPacket did not panic")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "double Put of *dacapo.Packet") {
+			t.Fatalf("unexpected panic: %v", r)
+		}
+		if !strings.Contains(msg, "first release:") || !strings.Contains(msg, "second release:") {
+			t.Fatalf("panic lacks the competing stacks:\n%s", msg)
+		}
+	}()
+	PutPacket(p)
 }

@@ -56,16 +56,12 @@ type executor struct {
 	outRecv []*Packet
 }
 
-// batchPool recycles the boundary batch slices.
-var batchPool = sync.Pool{New: func() any { return new([]*Packet) }}
-
-func getBatch() *[]*Packet {
-	bp := batchPool.Get().(*[]*Packet)
+// batchPool recycles the boundary batch slices. The reset drops the
+// packet pointers so a pooled batch never pins released headers.
+var batchPool = bufpool.NewPool(func(bp *[]*Packet) {
+	clear(*bp)
 	*bp = (*bp)[:0]
-	return bp
-}
-
-func putBatch(bp *[]*Packet) { batchPool.Put(bp) }
+})
 
 // Runtime executes a module graph between an application endpoint (Send /
 // Recv) and a transport channel: the Da CaPo runtime environment of
@@ -352,16 +348,14 @@ func (r *Runtime) deliverRecv(p *Packet) error {
 //
 //coollint:hotpath segment-boundary hand-off
 func (r *Runtime) enqueueOne(q chan *[]*Packet, p *Packet) error {
-	bp := getBatch()
+	bp := batchPool.Get()
 	*bp = append(*bp, p)
 	select {
 	case q <- bp:
 		return nil
 	case <-r.stop:
 		PutPacket(p)
-		(*bp)[0] = nil
-		*bp = (*bp)[:0]
-		putBatch(bp)
+		batchPool.Put(bp)
 		return ErrStopped
 	}
 }
@@ -369,18 +363,16 @@ func (r *Runtime) enqueueOne(q chan *[]*Packet, p *Packet) error {
 // enqueueBatch hands a gathered run of packets across a segment boundary
 // in one channel operation.
 func (r *Runtime) enqueueBatch(q chan *[]*Packet, pkts []*Packet) error {
-	bp := getBatch()
+	bp := batchPool.Get()
 	*bp = append(*bp, pkts...)
 	select {
 	case q <- bp:
 		return nil
 	case <-r.stop:
-		for i, p := range *bp {
+		for _, p := range *bp {
 			PutPacket(p)
-			(*bp)[i] = nil
 		}
-		*bp = (*bp)[:0]
-		putBatch(bp)
+		batchPool.Put(bp)
 		return ErrStopped
 	}
 }
@@ -770,8 +762,7 @@ func (r *Runtime) runPump(s *stage) {
 			ctx.observeBatch(len(batch))
 			ex.gather = true
 			var err error
-			for i, p := range batch {
-				batch[i] = nil
+			for _, p := range batch {
 				switch {
 				case err != nil:
 					PutPacket(p)
@@ -781,8 +772,7 @@ func (r *Runtime) runPump(s *stage) {
 					err = s.mod.HandleDown(ctx, p)
 				}
 			}
-			*bp = batch[:0]
-			putBatch(bp)
+			batchPool.Put(bp)
 			if err == nil {
 				err = r.flushExec(ex)
 			}
@@ -796,16 +786,14 @@ func (r *Runtime) runPump(s *stage) {
 			ctx.observeBatch(len(batch))
 			ex.gather = true
 			var err error
-			for i, p := range batch {
-				batch[i] = nil
+			for _, p := range batch {
 				if err != nil {
 					PutPacket(p)
 					continue
 				}
 				err = s.mod.HandleUp(ctx, p)
 			}
-			*bp = batch[:0]
-			putBatch(bp)
+			batchPool.Put(bp)
 			if err == nil {
 				err = r.flushExec(ex)
 			}
@@ -950,12 +938,10 @@ func drainBatchQ(q chan *[]*Packet) {
 	for {
 		select {
 		case bp := <-q:
-			for i, p := range *bp {
+			for _, p := range *bp {
 				PutPacket(p)
-				(*bp)[i] = nil
 			}
-			*bp = (*bp)[:0]
-			putBatch(bp)
+			batchPool.Put(bp)
 		default:
 			return
 		}

@@ -28,6 +28,7 @@ func (m *failModule) Start(*dacapo.Context) error {
 
 func (m *failModule) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 	if m.failDown {
+		dacapo.PutPacket(p) // the handler owns p on every return path
 		return errors.New("down exploded")
 	}
 	return ctx.EmitDown(p)

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"cool/internal/bufpool"
 	"cool/internal/cdr"
@@ -280,39 +279,38 @@ func (m *Message) Prepare(t MsgType, frame []byte) {
 	}
 }
 
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// AcquireMessage returns a pooled Message for use with UnmarshalInto-style
-// decoding. Release with ReleaseMessage.
-func AcquireMessage() *Message {
-	m := msgPool.Get().(*Message)
-	m.pooled = true
-	trackMsgAcquire(m)
-	return m
-}
-
-// ReleaseMessage returns a Message obtained from UnmarshalPooled (or
-// AcquireMessage) and the frame it decoded to their pools. The message, its
-// header fields, its BodyDecoder, and every slice aliasing the frame become
-// invalid. Messages produced by plain Unmarshal are ignored, so callers may
-// release unconditionally.
-func ReleaseMessage(m *Message) {
-	if m == nil {
-		return
-	}
-	trackMsgRelease(m)
-	if !m.pooled {
-		return
-	}
-	frame := m.frame
+// msgPool recycles Messages. The reset keeps the embedded header storage
+// for the next decode and drops everything that aliases a frame.
+var msgPool = bufpool.NewPool(func(m *Message) {
 	m.Request, m.Reply, m.CancelRequest, m.LocateRequest, m.LocateReply = nil, nil, nil, nil, nil
 	m.Body = nil
 	m.frame = nil
 	m.bodyOffset = 0
 	m.bodyDec.Reset(nil, false, 0)
 	m.pooled = false
+})
+
+// AcquireMessage returns a pooled Message for use with UnmarshalInto-style
+// decoding. Release with ReleaseMessage.
+func AcquireMessage() *Message {
+	m := msgPool.Get()
+	m.pooled = true
+	return m
+}
+
+// ReleaseMessage returns a Message to the message pool, and the frame it
+// decoded to the arena when the message came from UnmarshalPooled (or
+// AcquireMessage). The message, its header fields, its BodyDecoder, and
+// every slice aliasing the frame become invalid. A message produced by
+// plain Unmarshal simply joins the pool — its frame stays the caller's —
+// so callers may release unconditionally.
+func ReleaseMessage(m *Message) {
+	if m == nil {
+		return
+	}
+	frame, pooled := m.frame, m.pooled
 	msgPool.Put(m)
-	if frame != nil {
+	if pooled && frame != nil {
 		bufpool.Put(frame)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cool/internal/bufpool"
 	"cool/internal/cdr"
 	"cool/internal/giop"
 	"cool/internal/ior"
@@ -278,8 +279,11 @@ func (o *Object) invalidate() {
 
 // reqHdrPool recycles Request headers so the steady-state invocation path
 // does not allocate one per call (the header escapes through the Codec
-// interface and would otherwise be heap-allocated).
-var reqHdrPool = sync.Pool{New: func() any { return new(giop.RequestHeader) }}
+// interface and would otherwise be heap-allocated). The reset drops the
+// binding's and caller's slices and keeps the service-context storage.
+var reqHdrPool = bufpool.NewPool(func(h *giop.RequestHeader) {
+	h.ObjectKey, h.QoS, h.QoSFrag, h.Principal = nil, nil, nil, nil
+})
 
 // buildRequest marshals a Request frame for the bound profile. The codec
 // carries qos_params whenever requirements are set (GIOP splices the
@@ -287,7 +291,7 @@ var reqHdrPool = sync.Pool{New: func() any { return new(giop.RequestHeader) }}
 // its QoS-extended framing). The returned frame is pooled: conn.send (or
 // dispatchColocated) recycles it.
 func (o *Object) buildRequest(b *binding, id uint32, op string, expectReply bool, span obs.Span, args func(*cdr.Encoder)) ([]byte, error) {
-	hdr := reqHdrPool.Get().(*giop.RequestHeader)
+	hdr := reqHdrPool.Get()
 	hdr.RequestID = id
 	hdr.ResponseExpected = expectReply
 	hdr.ObjectKey = b.profile.ObjectKey
@@ -306,7 +310,6 @@ func (o *Object) buildRequest(b *binding, id uint32, op string, expectReply bool
 		hdr.ServiceContext = hdr.ServiceContext[:0]
 	}
 	frame, err := boundFrame(b.codec.MarshalRequest(hdr, args))
-	hdr.ObjectKey, hdr.QoS, hdr.QoSFrag, hdr.Principal = nil, nil, nil, nil
 	reqHdrPool.Put(hdr)
 	return frame, err
 }

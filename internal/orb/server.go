@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cool/internal/bufpool"
 	"cool/internal/cdr"
 	"cool/internal/giop"
 	"cool/internal/obs"
@@ -239,25 +240,19 @@ func (o *ORB) rejectRequest(codec Codec, w *frameWriter, m *giop.Message, exc *g
 
 // replyHdrPool recycles Reply headers: the header escapes through the
 // Codec interface and would otherwise be heap-allocated per reply.
-var replyHdrPool = sync.Pool{New: func() any { return new(giop.ReplyHeader) }}
+var replyHdrPool = bufpool.NewPool(func(h *giop.ReplyHeader) { *h = giop.ReplyHeader{} })
 
 // marshalReply encodes a reply with a pooled header.
 func marshalReply(codec Codec, m *giop.Message, id uint32, status giop.ReplyStatus, body func(*cdr.Encoder)) ([]byte, error) {
-	hdr := replyHdrPool.Get().(*giop.ReplyHeader)
-	*hdr = giop.ReplyHeader{RequestID: id, Status: status}
+	hdr := replyHdrPool.Get()
+	hdr.RequestID, hdr.Status = id, status
 	frame, err := boundFrame(codec.MarshalReply(m, hdr, body))
 	replyHdrPool.Put(hdr)
 	return frame, err
 }
 
 // invPool recycles Invocation records handed to servants.
-var invPool = sync.Pool{New: func() any { return new(Invocation) }}
-
-// releaseInvocation scrubs an Invocation and returns it to invPool.
-func releaseInvocation(inv *Invocation) {
-	*inv = Invocation{}
-	invPool.Put(inv)
-}
+var invPool = bufpool.NewPool(func(inv *Invocation) { *inv = Invocation{} })
 
 // failReply records a system exception outcome and marshals the exception
 // reply (nil for oneway requests).
@@ -333,11 +328,11 @@ func (o *ORB) handleRequest(ctx context.Context, codec Codec, m *giop.Message, s
 		}
 	}
 
-	inv := invPool.Get().(*Invocation)
+	inv := invPool.Get()
 	// The returned ReplyWriter may read inv, so the record lives until the
 	// reply is marshalled below, on every return path — still inside the
 	// message's lifetime, which is what lets inv.Args alias the body.
-	defer releaseInvocation(inv)
+	defer invPool.Put(inv)
 	inv.Operation = req.Operation
 	inv.QoS = granted
 	inv.Args = m.BodyDecoder() //coollint:allow framealias
