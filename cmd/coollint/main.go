@@ -8,8 +8,11 @@
 //
 // Patterns follow the loader's subset of go tool syntax: "./..." (default)
 // for the whole module, "dir/..." for a subtree, or a module-relative
-// directory. Diagnostics print as file:line:col: analyzer: message (or as
-// a JSON array with -json); the exit status is 1 when any diagnostic is
+// directory. A directory with its own go.mod is a separate module and is
+// skipped, so the nested bench module is out of lint scope.
+//
+// Diagnostics print as file:line:col: analyzer: message (or as a JSON
+// array with -json); the exit status is 1 when any diagnostic is
 // reported, 2 on load errors. -stats appends a summary of findings
 // silenced by //coollint:allow annotations and per-analyzer wall time.
 package main

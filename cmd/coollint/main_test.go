@@ -13,8 +13,8 @@ import (
 )
 
 // fixture is a module-relative package that always produces diagnostics
-// for its namesake analyzer.
-const fixture = "internal/analysis/testdata/src/obsconst"
+// for its namesake analyzer, and carries //coollint:allow sites.
+const fixture = "internal/analysis/testdata/src/lockhold"
 
 // cleanPkg is a module-relative package with no findings.
 const cleanPkg = "internal/bufpool"
@@ -41,7 +41,7 @@ func TestExitCodeFindings(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, stderr)
 	}
-	if !strings.Contains(stdout, "obsconst") {
+	if !strings.Contains(stdout, "lockhold") {
 		t.Fatalf("diagnostics missing analyzer name:\n%s", stdout)
 	}
 	if !strings.Contains(stderr, "finding(s)") {
@@ -88,7 +88,7 @@ func TestListNamesAllAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"poolpair", "lockhold", "framealias", "obsconst", "wiretaint", "bindstate", "lockorder", "hotalloc"} {
+	for _, name := range []string{"poolpair", "lockhold", "wiretaint", "bindstate", "lockorder", "hotalloc"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %q:\n%s", name, stdout)
 		}
@@ -102,8 +102,6 @@ func TestListOutputLocked(t *testing.T) {
 	want := []struct{ name, doc string }{
 		{"poolpair", "pooled objects are released exactly once on every path"},
 		{"lockhold", "no blocking channel operation, Wait, or blocking call while a mutex is held"},
-		{"framealias", "no storing frame-aliasing slices beyond the pooled message lifetime"},
-		{"obsconst", "metric and span names must not be built with function calls"},
 		{"wiretaint", "wire-derived sizes must be bounds-checked before allocation or loop use"},
 		{"bindstate", "explicit-binding lifecycle: no use after ORB shutdown, QoS errors checked, Pendings consumed"},
 		{"lockorder", "lock acquisition order is consistent module-wide (no deadlock cycles)"},
@@ -123,31 +121,31 @@ func TestListOutputLocked(t *testing.T) {
 }
 
 func TestOnlyRestrictsAnalyzers(t *testing.T) {
-	// The obsconst fixture trips obsconst but not bindstate: restricting to
-	// bindstate must come back clean.
+	// The lockhold fixture trips lockhold but not bindstate: restricting
+	// to bindstate must come back clean.
 	code, stdout, stderr := runCmd(t, "-only", "bindstate", fixture)
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
-	if code, _, _ := runCmd(t, "-only", "obsconst", fixture); code != 1 {
-		t.Fatalf("-only obsconst exit = %d, want 1", code)
+	if code, _, _ := runCmd(t, "-only", "lockhold", fixture); code != 1 {
+		t.Fatalf("-only lockhold exit = %d, want 1", code)
 	}
 }
 
 func TestOnlyCommaSeparatedList(t *testing.T) {
 	// A multi-analyzer selection (with a stray trailing comma) runs every
-	// named analyzer: the obsconst fixture still trips obsconst, and the
-	// concurrency suite rides along clean.
-	code, stdout, _ := runCmd(t, "-only", "lockhold,lockorder,", fixture)
+	// named analyzer: the lockhold fixture still trips lockhold, and the
+	// others ride along clean.
+	code, stdout, _ := runCmd(t, "-only", "bindstate,lockorder,", fixture)
 	if code != 0 {
-		t.Fatalf("concurrency-only exit = %d, want 0\nstdout:\n%s", code, stdout)
+		t.Fatalf("bindstate,lockorder exit = %d, want 0\nstdout:\n%s", code, stdout)
 	}
-	code, stdout, _ = runCmd(t, "-only", "bindstate,obsconst", fixture)
+	code, stdout, _ = runCmd(t, "-only", "bindstate,lockhold", fixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "obsconst") {
-		t.Fatalf("diagnostics missing obsconst findings:\n%s", stdout)
+	if !strings.Contains(stdout, "lockhold") {
+		t.Fatalf("diagnostics missing lockhold findings:\n%s", stdout)
 	}
 }
 
@@ -170,7 +168,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatal("JSON output is empty")
 	}
 	for _, r := range recs {
-		if r.Analyzer != "obsconst" {
+		if r.Analyzer != "lockhold" {
 			t.Errorf("unexpected analyzer %q", r.Analyzer)
 		}
 		if filepath.IsAbs(r.File) || !strings.HasPrefix(r.File, "internal/analysis/testdata/") {
@@ -183,17 +181,17 @@ func TestJSONOutput(t *testing.T) {
 }
 
 func TestSuppressionStats(t *testing.T) {
-	// The framealias fixture carries //coollint:allow sites; -stats must
-	// surface them. Findings still exist, so the exit code stays 1.
-	code, stdout, _ := runCmd(t, "-stats", "-only", "framealias", "internal/analysis/testdata/src/framealias")
+	// The lockhold fixture carries two //coollint:allow lockhold sites
+	// (and one naming another analyzer, which silences nothing); -stats
+	// must count them. Findings still exist, so the exit code stays 1.
+	code, stdout, _ := runCmd(t, "-stats", "-only", "lockhold", fixture)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "suppressions:") {
-		t.Fatalf("missing suppression summary:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "framealias") || strings.Contains(stdout, "suppressions: none") {
-		t.Fatalf("suppression summary should count framealias sites:\n%s", stdout)
+	want := "suppressions: 2 finding(s) silenced by //coollint:allow\n" +
+		fmt.Sprintf("  %-12s %d\n", "lockhold", 2)
+	if !strings.Contains(stdout, want) {
+		t.Fatalf("suppression summary should count the two lockhold sites:\n%s", stdout)
 	}
 	if !strings.Contains(stdout, "timings: 1 analyzer(s)") {
 		t.Fatalf("-stats missing per-analyzer wall time:\n%s", stdout)

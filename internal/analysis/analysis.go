@@ -13,7 +13,7 @@
 // built over every loaded package — a module-wide call graph plus one
 // Summary per function (wire-taint flow from parameters to results,
 // alloc/loop sinks, bounds-guard facts, pool acquire/release effects,
-// frame-aliasing results, lock and blocking effects, warm allocations),
+// lock and blocking effects, warm allocations),
 // computed bottom-up over the condensation of strongly connected
 // components. Analyzers consult summaries at call sites, so contracts
 // hold through un-annotated helpers.
@@ -27,11 +27,6 @@
 //     paths, never released twice, and never used after release.
 //   - lockhold:   no blocking channel operation, select without default,
 //     or sync Wait while a sync.Mutex/RWMutex is held.
-//   - framealias: no storing of slices or decoders derived from a pooled
-//     message body into struct fields or package variables, including
-//     aliases obtained through wrapper functions.
-//   - obsconst:   metric and span names handed to internal/obs are built
-//     from compile-time constants (no calls in the name expression).
 //   - wiretaint:  integers decoded from the wire (cdr.Decoder reads,
 //     binary.ByteOrder loads) must be bounds-checked before they size an
 //     allocation or bound a loop, directly or through helper calls.
@@ -89,7 +84,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in deterministic order.
 func All() []*Analyzer {
-	return []*Analyzer{PoolPair, LockHold, FrameAlias, ObsConst, WireTaint, BindState, LockOrder, HotAlloc}
+	return []*Analyzer{PoolPair, LockHold, WireTaint, BindState, LockOrder, HotAlloc}
 }
 
 // Pass carries one analyzer's view of one package.

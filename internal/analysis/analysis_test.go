@@ -97,12 +97,10 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	}
 }
 
-func TestPoolPairFixture(t *testing.T)   { runFixture(t, "poolpair", PoolPair) }
-func TestLockHoldFixture(t *testing.T)   { runFixture(t, "lockhold", LockHold) }
-func TestFrameAliasFixture(t *testing.T) { runFixture(t, "framealias", FrameAlias) }
-func TestObsConstFixture(t *testing.T)   { runFixture(t, "obsconst", ObsConst) }
-func TestWireTaintFixture(t *testing.T)  { runFixture(t, "wiretaint", WireTaint) }
-func TestBindStateFixture(t *testing.T)  { runFixture(t, "bindstate", BindState) }
+func TestPoolPairFixture(t *testing.T)  { runFixture(t, "poolpair", PoolPair) }
+func TestLockHoldFixture(t *testing.T)  { runFixture(t, "lockhold", LockHold) }
+func TestWireTaintFixture(t *testing.T) { runFixture(t, "wiretaint", WireTaint) }
+func TestBindStateFixture(t *testing.T) { runFixture(t, "bindstate", BindState) }
 
 // TestLockOrderFixture exercises at least one interprocedural
 // (through-helper) lock-order finding.
@@ -114,12 +112,10 @@ func TestLockOrderFixture(t *testing.T) { runFixture(t, "lockorder", LockOrder) 
 // coldpath / allocator directives.
 func TestHotAllocFixture(t *testing.T) { runFixture(t, "hotalloc", HotAlloc) }
 
-// TestInterprocFixture drives poolpair and framealias through helper
-// boundaries: acquires, releases and aliasing facts must flow via the
+// TestInterprocFixture drives poolpair through helper boundaries:
+// acquire, release and queue-handoff facts must flow via the
 // interprocedural summaries, not annotations.
-func TestInterprocFixture(t *testing.T) {
-	runFixture(t, "interproc", PoolPair, FrameAlias)
-}
+func TestInterprocFixture(t *testing.T) { runFixture(t, "interproc", PoolPair) }
 
 // TestLoaderModuleWide exercises the "./..." pattern against the real
 // module: every package must load and type-check through the stdlib-only
@@ -150,32 +146,90 @@ func TestLoaderModuleWide(t *testing.T) {
 	}
 }
 
-// TestSuppressionScopes pins the //coollint:allow comment semantics: a
-// whole-line comment suppresses the next line, a trailing comment its own,
-// and names must match the reporting analyzer.
+// TestLoaderSkipsNestedModule pins "./..." to the enclosing module: a
+// directory with its own go.mod (the repo's bench module) is a separate
+// module and is not walked, so its packages are out of lint scope.
+func TestLoaderSkipsNestedModule(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module outer\n\ngo 1.22\n")
+	write("a/a.go", "package a\n")
+	write("nested/go.mod", "module outer/nested\n\ngo 1.22\n")
+	// Would fail to type-check if the walk entered the nested module.
+	write("nested/b/b.go", "package b\n\nvar _ int = \"not an int\"\n")
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatalf("Load ./...: %v", err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if strings.Join(paths, ",") != "outer/a" {
+		t.Fatalf("Load ./... = %v, want only outer/a", paths)
+	}
+}
+
+// TestSuppressionScopes pins the //coollint:allow comment semantics on
+// the lockhold fixture: a trailing comment silences its own line, a
+// whole-line comment the line below it, and an allow naming another
+// analyzer silences nothing. Every silenced finding is still collected
+// for -stats.
 func TestSuppressionScopes(t *testing.T) {
-	pkg, _ := loadFixture(t, mustAbs(t, filepath.Join("testdata", "src", "framealias")))
-	// Every line carrying a trailing //coollint:allow framealias comment
-	// must produce no diagnostic.
-	allowed := make(map[string]map[int]bool)
-	for file, src := range pkg.Src {
+	pkg, _ := loadFixture(t, mustAbs(t, filepath.Join("testdata", "src", "lockhold")))
+	if len(pkg.Src) != 1 {
+		t.Fatalf("lockhold fixture has %d files, want 1", len(pkg.Src))
+	}
+	// silenced holds the lines the lockhold allows cover; reported the
+	// lines whose allow names another analyzer.
+	silenced, reported := make(map[int]bool), make(map[int]bool)
+	for _, src := range pkg.Src {
 		for i, line := range strings.Split(string(src), "\n") {
-			if strings.Contains(line, "//coollint:allow framealias") {
-				if allowed[file] == nil {
-					allowed[file] = make(map[int]bool)
-				}
-				allowed[file][i+1] = true
+			trimmed := strings.TrimSpace(line)
+			switch {
+			case strings.HasPrefix(trimmed, "//coollint:allow lockhold"):
+				silenced[i+2] = true
+			case strings.Contains(line, "//coollint:allow lockhold"):
+				silenced[i+1] = true
+			case strings.Contains(line, "//coollint:allow lockorder"):
+				reported[i+1] = true
 			}
 		}
 	}
-	if len(allowed) == 0 {
-		t.Fatal("fixture has no //coollint:allow framealias site to exercise")
+	if len(silenced) != 2 || len(reported) != 1 {
+		t.Fatalf("fixture has %d lockhold and %d lockorder allow sites, want 2 and 1", len(silenced), len(reported))
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{FrameAlias})
+	diags, suppressed := RunAnalyzersDetail([]*Package{pkg}, []*Analyzer{LockHold})
 	for _, d := range diags {
-		if allowed[d.Pos.Filename][d.Pos.Line] {
+		if silenced[d.Pos.Line] {
 			t.Errorf("suppressed site still reported: %s", d)
 		}
+		delete(reported, d.Pos.Line)
+	}
+	for line := range reported {
+		t.Errorf("line %d: an allow naming another analyzer silenced lockhold", line)
+	}
+	for _, d := range suppressed {
+		if !silenced[d.Pos.Line] {
+			t.Errorf("finding silenced without a covering allow: %s", d)
+		}
+		delete(silenced, d.Pos.Line)
+	}
+	for line := range silenced {
+		t.Errorf("line %d: allowed finding missing from the suppressed list", line)
 	}
 }
 

@@ -20,8 +20,10 @@ import (
 //     cool.TryQoS, qos.NewSet, Set.Validate) must not be discarded —
 //     negotiation failure is the paper's central failure mode,
 //   - a Pending from a deferred invocation must be consumed (Wait, Poll,
-//     Cancel, or escape): an abandoned Pending strands the pooled reply
-//     buffer.
+//     Cancel, or escape): an abandoned Pending keeps its request id
+//     registered, holding one of the connection's maxInFlight (4096)
+//     slots until the reply arrives or the connection closes, and its
+//     outcome, failure included, is never observed.
 var BindState = &Analyzer{
 	Name: "bindstate",
 	Doc:  "explicit-binding lifecycle: no use after ORB shutdown, QoS errors checked, Pendings consumed",
@@ -436,6 +438,11 @@ func (bs *bindStateChecker) checkDiscardedErrors(body *ast.BlockStmt) {
 
 // --- abandoned Pendings ------------------------------------------------
 
+// pendingCost is what an unconsumed Pending costs at run time: the reply
+// itself is left to the garbage collector either way, but the request id
+// stays registered until its reply lands.
+const pendingCost = "its request id holds one of the connection's 4096 in-flight slots until the reply arrives or the connection closes"
+
 func (bs *bindStateChecker) checkAbandonedPendings(body *ast.BlockStmt) {
 	info := bs.pass.Info
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -463,7 +470,7 @@ func (bs *bindStateChecker) checkAbandonedPendings(body *ast.BlockStmt) {
 		if id.Name == "_" {
 			if bs.classOfResult(call) == classPending {
 				bs.pass.Reportf(call.Pos(),
-					"deferred invocation discarded; Wait, Poll, or Cancel must run to recycle the pooled reply")
+					"deferred invocation discarded; %s", pendingCost)
 			}
 			return true
 		}
@@ -473,7 +480,7 @@ func (bs *bindStateChecker) checkAbandonedPendings(body *ast.BlockStmt) {
 		}
 		if !bs.usedAgain(body, id, obj) {
 			bs.pass.Reportf(call.Pos(),
-				"pending %s is never consumed; Wait, Poll, or Cancel must run to recycle the pooled reply", id.Name)
+				"pending %s is never consumed; %s", id.Name, pendingCost)
 		}
 		return true
 	})

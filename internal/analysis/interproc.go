@@ -11,10 +11,10 @@ import (
 // components and walked bottom-up to compute one Summary per function.
 // Summaries carry the cross-function facts the analyzers need — wire-taint
 // propagation and guard facts (wiretaint), acquire/release effects
-// (poolpair), alias-returning results (framealias), lock and blocking
-// effects (lockorder, lockhold) and warm allocations (hotalloc) — so each
-// analyzer stays a per-function pass that consults callee summaries
-// instead of re-deriving the whole program.
+// (poolpair), lock and blocking effects (lockorder, lockhold) and warm
+// allocations (hotalloc) — so each analyzer stays a per-function pass
+// that consults callee summaries instead of re-deriving the whole
+// program.
 //
 // The computation is a fixpoint per SCC: summaries inside a cycle are
 // recomputed until stable (monotone bit growth, so termination is by
@@ -81,10 +81,6 @@ type Summary struct {
 	// releasesParam[i] names the pool-object kind the function releases
 	// when handed one as parameter i ("" when it does not).
 	releasesParam []string
-
-	// aliasResults has bit j set when result j aliases memory reachable
-	// from the receiver or a parameter (frame-aliasing helpers).
-	aliasResults uint64
 
 	// locks is the set of mutex classes the function (or a callee) may
 	// acquire — released-before-return acquisitions included, since they
@@ -231,7 +227,7 @@ func newSummary(pf *progFunc) *Summary {
 
 func (s *Summary) equal(o *Summary) bool {
 	if o == nil || s.guardsParam != o.guardsParam || s.sinkParam != o.sinkParam ||
-		s.acquires != o.acquires || s.aliasResults != o.aliasResults ||
+		s.acquires != o.acquires ||
 		s.blocks != o.blocks || s.blockDesc != o.blockDesc ||
 		s.warmAllocs != o.warmAllocs ||
 		!s.locks.equal(o.locks) || !s.freshLocks.equal(o.freshLocks) {
@@ -355,7 +351,6 @@ func summarize(prog *Program, pf *progFunc) *Summary {
 	s := newSummary(pf)
 	taintSummarize(prog, pf, s)
 	poolSummarize(prog, pf, s)
-	aliasSummarize(prog, pf, s)
 	lockSummarize(prog, pf, s)
 	allocSummarize(prog, pf, s)
 	return s
@@ -633,69 +628,6 @@ func poolKindOfType(t types.Type) string {
 		}
 	}
 	return ""
-}
-
-// --- framealias facts -------------------------------------------------
-
-// aliasSummarize marks results that alias receiver/parameter memory:
-// helpers that wrap BodyDecoder or return sub-slices of a pooled frame.
-func aliasSummarize(prog *Program, pf *progFunc, s *Summary) {
-	info := pf.pkg.Info
-	paramObjs := make(map[types.Object]bool, len(pf.params))
-	for _, p := range pf.params {
-		paramObjs[p] = true
-	}
-
-	var aliasExpr func(e ast.Expr) bool
-	aliasExpr = func(e ast.Expr) bool {
-		e = ast.Unparen(e)
-		switch x := e.(type) {
-		case *ast.Ident:
-			return paramObjs[objOf(info, x)]
-		case *ast.SliceExpr:
-			return aliasExpr(x.X)
-		case *ast.SelectorExpr:
-			return aliasExpr(x.X)
-		case *ast.UnaryExpr:
-			return aliasExpr(x.X)
-		case *ast.CallExpr:
-			callee := calleeOf(info, x)
-			if callee == nil {
-				return false
-			}
-			// Known aliasing accessors on a parameter-rooted receiver.
-			if isMethod(callee, "cool/internal/giop", "BodyDecoder") ||
-				isMethod(callee, "cool/internal/giop", "Body") ||
-				isMethod(callee, "cool/internal/giop", "Frame") ||
-				isMethod(callee, "cool/internal/cdr", "ReadOctetSeq") ||
-				isMethod(callee, "cool/internal/cdr", "ReadOctets") ||
-				isMethod(callee, "cool/internal/cdr", "ReadStringBytes") {
-				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-					return aliasExpr(sel.X)
-				}
-			}
-			if sum := prog.summaryOf(callee); sum != nil && sum.aliasResults != 0 {
-				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && aliasExpr(sel.X) {
-					return true
-				}
-				for _, a := range x.Args {
-					if aliasExpr(a) {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		return false
-	}
-
-	forEachOwnReturn(pf.decl.Body, func(ret *ast.ReturnStmt) {
-		for j, r := range ret.Results {
-			if j < 64 && aliasExpr(r) {
-				s.aliasResults |= 1 << uint(j)
-			}
-		}
-	})
 }
 
 // forEachOwnReturn visits the return statements of body that belong to

@@ -54,12 +54,12 @@ func blankQoSError(p *Proxy) {
 }
 
 func abandonedPending(p *Proxy) {
-	stale, _ := p.InvokeDeferred("op") // want "pending stale is never consumed"
+	stale, _ := p.InvokeDeferred("op") // want "pending stale is never consumed; its request id holds one of the connection's 4096 in-flight slots"
 	_ = stale                          // silences the compiler, consumes nothing
 }
 
 func discardedPending(p *Proxy) {
-	_, _ = p.InvokeDeferred("op") // want "deferred invocation discarded"
+	_, _ = p.InvokeDeferred("op") // want "deferred invocation discarded; its request id holds one of the connection's 4096 in-flight slots"
 }
 
 // --- clean shapes ---

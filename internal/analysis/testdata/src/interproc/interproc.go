@@ -1,13 +1,11 @@
 // Package interproc is a coollint test fixture for the interprocedural
-// summaries: acquire, release and aliasing effects must flow through
-// un-annotated helpers so poolpair and framealias see across call
-// boundaries.
+// summaries: acquire, release and queue-handoff effects must flow through
+// un-annotated helpers so poolpair sees across call boundaries.
 package interproc
 
 import (
 	"cool/internal/bufpool"
 	"cool/internal/cdr"
-	"cool/internal/giop"
 )
 
 // fresh is an acquire helper with no //coollint:acquires annotation: the
@@ -43,27 +41,6 @@ func doubleReleaseViaHelper() {
 	e := fresh()
 	finish(e)
 	cdr.ReleaseEncoder(e) // want "released again"
-}
-
-// --- framealias through helpers ---
-
-type holder struct {
-	dec *cdr.Decoder
-}
-
-// decOf wraps the message body accessor: its summary must mark the result
-// as aliasing the (pooled) message parameter.
-func decOf(m *giop.Message) *cdr.Decoder {
-	return m.BodyDecoder()
-}
-
-func stashDecoder(h *holder, m *giop.Message) {
-	h.dec = decOf(m) // want "frame-aliasing data stored into h.dec"
-}
-
-func copyIsClean(m *giop.Message) []byte {
-	b, _ := decOf(m).ReadOctetSeq()
-	return append([]byte(nil), b...)
 }
 
 // --- queue handoff through helpers ---

@@ -62,6 +62,27 @@ func callsBlockingHelperUnderLock(b *box) int {
 	return v
 }
 
+// --- //coollint:allow scopes ---
+
+func allowTrailing(b *box) {
+	b.mu.Lock()
+	b.ch <- 4 //coollint:allow lockhold -- a trailing allow silences its own line
+	b.mu.Unlock()
+}
+
+func allowWholeLine(b *box) {
+	b.mu.Lock()
+	//coollint:allow lockhold -- a whole-line allow silences the line below
+	b.ch <- 5
+	b.mu.Unlock()
+}
+
+func allowOtherAnalyzer(b *box) {
+	b.mu.Lock()
+	b.ch <- 6 //coollint:allow lockorder -- names another analyzer // want "channel send may block"
+	b.mu.Unlock()
+}
+
 // --- clean shapes ---
 
 func sendAfterUnlock(b *box) {

@@ -335,7 +335,7 @@ func (o *ORB) handleRequest(ctx context.Context, codec Codec, m *giop.Message, s
 	defer invPool.Put(inv)
 	inv.Operation = req.Operation
 	inv.QoS = granted
-	inv.Args = m.BodyDecoder() //coollint:allow framealias
+	inv.Args = m.BodyDecoder()
 	inv.Principal = req.Principal
 	inv.Ctx = ctx
 	dispatchStart := time.Now()
