@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -23,7 +24,9 @@ type Ops struct {
 // Handler returns the ops endpoint:
 //
 //	/metrics      text exposition of the registry snapshot plus sampled
-//	              runtime gauges; ?prefix= filters metric names
+//	              runtime gauges; ?prefix= filters metric names;
+//	              ?format=json writes the same Snapshot as JSON (the
+//	              structured form coolstat -watch diffs)
 //	/trace        the TraceLog dump; ?trace=<16-hex-id> filters to one
 //	              trace (exemplar lookup)
 //	/trace/slow   the slow-call log
@@ -43,7 +46,7 @@ func (o Ops) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "cool ops endpoint\n/metrics\n/trace\n/trace/slow\n/debug/pprof/\n")
+		fmt.Fprint(w, "cool ops endpoint\n/metrics\n/metrics?format=json\n/trace\n/trace/slow\n/debug/pprof/\n")
 	})
 	return mux
 }
@@ -64,15 +67,30 @@ func SampleRuntime(r *Registry) {
 }
 
 func (o Ops) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	q := r.URL.Query()
+	format := q.Get("format")
+	switch format {
+	case "":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	case "json":
+		w.Header().Set("Content-Type", "application/json")
+	default:
+		http.Error(w, "unknown format (want json or none)", http.StatusBadRequest)
+		return
+	}
 	if o.Registry == nil {
 		return
 	}
 	SampleRuntime(o.Registry)
 	s := o.Registry.Snapshot()
-	prefix := r.URL.Query().Get("prefix")
-	if prefix != "" {
+	if prefix := q.Get("prefix"); prefix != "" {
 		s = filterSnapshot(s, prefix)
+	}
+	if format == "json" {
+		// An encode error means the client went away; there is no one left
+		// to tell.
+		_ = json.NewEncoder(w).Encode(s)
+		return
 	}
 	s.WriteText(w)
 }

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -168,7 +171,7 @@ func TestOpsHandler(t *testing.T) {
 		t.Errorf("empty slow log not reported:\n%s", body2)
 	}
 
-	if idx := get("/"); !strings.Contains(idx, "/metrics") {
+	if idx := get("/"); !strings.Contains(idx, "/metrics\n") || !strings.Contains(idx, "/metrics?format=json\n") {
 		t.Errorf("index missing endpoint listing:\n%s", idx)
 	}
 	if pp := get("/debug/pprof/"); !strings.Contains(pp, "goroutine") {
@@ -189,5 +192,80 @@ func TestOpsHandler(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "no trace log") {
 		t.Errorf("nil trace log not handled:\n%s", body)
+	}
+}
+
+// TestOpsMetricsJSON: /metrics?format=json round-trips the registry's
+// counters, gauges and histograms (bounds, buckets, exemplars, count, sum)
+// and the snapshot time to the nanosecond, and ?prefix= filters it like the
+// text form.
+func TestOpsMetricsJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("orb.client.calls{op=echo}").Add(9)
+	r.Counter("orb.client.calls{op=ping}").Add(1<<40 + 3)
+	r.Gauge("orb.server.inflight").Set(-7)
+	h := r.Histogram("orb.client.latency_us{op=echo}", LatencyBuckets())
+	h.ObserveTrace(3, TraceID(0xbeef))
+	h.ObserveTrace(300, TraceID(0xfeed))
+	h.ObserveTrace(1<<30, TraceID(0xffffffffffffffff)) // overflow bucket, full-width ID
+	h.Observe(5)
+
+	srv := httptest.NewServer(Ops{Registry: r}.Handler())
+	defer srv.Close()
+	fetch := func(path string) Snapshot {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: Content-Type %q", path, ct)
+		}
+		var s Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+			t.Fatalf("GET %s: decode: %v", path, err)
+		}
+		return s
+	}
+
+	before := time.Now()
+	got := fetch("/metrics?format=json&prefix=orb.")
+	after := time.Now()
+	want := r.Snapshot()
+	if got.Time.Before(before.Round(0)) || got.Time.After(after.Round(0)) {
+		t.Errorf("snapshot time %v outside [%v, %v]", got.Time, before, after)
+	}
+	if !reflect.DeepEqual(got.Counters, want.Counters) {
+		t.Errorf("counters = %+v, want %+v", got.Counters, want.Counters)
+	}
+	// The registry now also holds the runtime gauges the scrape sampled;
+	// the prefix dropped them.
+	if wantG := []GaugePoint{{Name: "orb.server.inflight", Value: -7}}; !reflect.DeepEqual(got.Gauges, wantG) {
+		t.Errorf("gauges = %+v, want %+v", got.Gauges, wantG)
+	}
+	if !reflect.DeepEqual(got.Histograms, want.Histograms) {
+		t.Errorf("histograms = %+v, want %+v", got.Histograms, want.Histograms)
+	}
+	hp, ok := got.Histogram("orb.client.latency_us{op=echo}")
+	if !ok || hp.Count != 4 || hp.TailExemplar() != TraceID(0xffffffffffffffff) {
+		t.Errorf("decoded histogram lost its tail: %+v", hp)
+	}
+
+	runtimeOnly := fetch("/metrics?format=json&prefix=runtime.")
+	if len(runtimeOnly.Counters) != 0 || len(runtimeOnly.Histograms) != 0 {
+		t.Errorf("?prefix=runtime. leaked orb metrics: %+v", runtimeOnly)
+	}
+	if runtimeOnly.Gauge("runtime.goroutines") <= 0 {
+		t.Errorf("?prefix=runtime. missing runtime gauges: %+v", runtimeOnly.Gauges)
+	}
+
+	resp, err := srv.Client().Get(srv.URL + "/metrics?format=xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("unknown format: status %d, want 400", resp.StatusCode)
 	}
 }

@@ -1,6 +1,7 @@
 package cool_test
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"regexp"
@@ -152,10 +153,10 @@ func TestOpsEndpointEndToEnd(t *testing.T) {
 	}
 }
 
-// TestStatsDeltaOverWire exercises the structured snapshot path coolstat
-// -watch uses: two snapshot_bin fetches around a burst of calls, diffed
-// with Delta, must show exactly that burst as rates and percentiles.
-func TestStatsDeltaOverWire(t *testing.T) {
+// TestOpsSnapshotDelta exercises the structured snapshot path coolstat
+// -watch uses: two /metrics?format=json fetches around a burst of calls,
+// diffed with Delta, must show exactly that burst as rates and percentiles.
+func TestOpsSnapshotDelta(t *testing.T) {
 	server := cool.NewORB(cool.WithName("delta-server"))
 	defer server.Shutdown()
 	if _, err := server.ListenOn("tcp", "127.0.0.1:0"); err != nil {
@@ -165,10 +166,12 @@ func TestStatsDeltaOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	statsRef, err := server.RegisterServant(cool.NewStatsServant(server))
+	ops, err := cool.ServeOps("127.0.0.1:0", server)
 	if err != nil {
-		t.Fatalf("register stats: %v", err)
+		t.Fatalf("ServeOps: %v", err)
 	}
+	defer ops.Close()
+	base := "http://" + ops.Addr()
 
 	client := cool.NewORB(cool.WithName("delta-client"))
 	defer client.Shutdown()
@@ -176,11 +179,6 @@ func TestStatsDeltaOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	statsObj, err := client.ResolveString(cool.RefString(statsRef))
-	if err != nil {
-		t.Fatalf("resolve stats: %v", err)
-	}
-	stats := cool.NewStatsClient(statsObj)
 
 	echo := func(n int) {
 		for i := 0; i < n; i++ {
@@ -192,21 +190,22 @@ func TestStatsDeltaOverWire(t *testing.T) {
 			}
 		}
 	}
+	snapshot := func() cool.MetricsSnapshot {
+		t.Helper()
+		var s cool.MetricsSnapshot
+		if err := json.Unmarshal([]byte(httpGet(t, base+"/metrics?format=json")), &s); err != nil {
+			t.Fatalf("decode snapshot: %v", err)
+		}
+		return s
+	}
 
 	echo(3)
-	prev, err := stats.SnapshotData()
-	if err != nil {
-		t.Fatalf("snapshot_bin: %v", err)
-	}
+	prev := snapshot()
 	if got := prev.Counter("orb.server.requests{op=echo}"); got != 3 {
 		t.Errorf("first snapshot echo requests = %d, want 3", got)
 	}
 	echo(5)
-	time.Sleep(2 * time.Millisecond) // ensure a measurable interval
-	cur, err := stats.SnapshotData()
-	if err != nil {
-		t.Fatalf("snapshot_bin: %v", err)
-	}
+	cur := snapshot()
 
 	d := cur.Delta(prev)
 	if d.Interval <= 0 {
@@ -225,10 +224,8 @@ func TestStatsDeltaOverWire(t *testing.T) {
 	if h.Count != 5 {
 		t.Errorf("delta dispatch count = %d, want 5", h.Count)
 	}
-	// Slow fetch works over the wire too (empty: nothing was slow).
-	if slow, err := stats.Slow(); err != nil {
-		t.Errorf("slow: %v", err)
-	} else if slow != "" {
+	// The slow log is empty: nothing was slow.
+	if slow := httpGet(t, base+"/trace/slow"); slow != "(no slow calls recorded)\n" {
 		t.Errorf("slow log should be empty, got:\n%s", slow)
 	}
 }

@@ -1,8 +1,6 @@
 package cool
 
 import (
-	"cool/internal/cdr"
-	"cool/internal/giop"
 	"cool/internal/obs"
 	"cool/internal/orb"
 )
@@ -57,97 +55,3 @@ func TraceLog(o *ORB) *TraceRecorder {
 // that exceeded their QoS Latency bound or the WithSlowCallThreshold
 // configuration (see the README "Observability" section).
 func SlowCalls(o *ORB) *obs.SlowLog { return o.SlowCalls() }
-
-// StatsRepoID is the repository id of the built-in stats servant.
-const StatsRepoID = "IDL:cool/Stats:1.0"
-
-// StatsServant exposes an ORB's observability state as a CORBA object, so
-// tools (cmd/coolstat) can fetch a metrics snapshot from a running process
-// through the ORB itself. Operations:
-//
-//	snapshot()     -> string   the metrics snapshot in text exposition format
-//	snapshot_bin() -> octets   the snapshot in CDR wire form (see
-//	                           snapshotwire.go) for delta/percentile-aware
-//	                           clients such as coolstat -watch
-//	trace()        -> string   recent events from the ORB's TraceLog ("" when
-//	                           no TraceLog observer is installed)
-//	slow()         -> string   the slow-call log, one record per line
-type StatsServant struct {
-	orb *ORB
-}
-
-// NewStatsServant returns a stats servant for the given ORB; register it
-// with the same (or any) ORB's RegisterServant.
-func NewStatsServant(o *ORB) *StatsServant { return &StatsServant{orb: o} }
-
-// RepoID implements Servant.
-func (s *StatsServant) RepoID() string { return StatsRepoID }
-
-// StatsClient is the typed stub for a remote StatsServant; cmd/coolstat is
-// its command-line front end.
-type StatsClient struct{ obj *Object }
-
-// NewStatsClient wraps a resolved reference to a StatsServant.
-func NewStatsClient(obj *Object) *StatsClient { return &StatsClient{obj: obj} }
-
-// Snapshot fetches the remote ORB's metrics snapshot in text form.
-func (c *StatsClient) Snapshot() (string, error) { return c.call("snapshot") }
-
-// Trace fetches the remote ORB's recent trace events ("" when the remote
-// has no TraceLog installed).
-func (c *StatsClient) Trace() (string, error) { return c.call("trace") }
-
-// Slow fetches the remote ORB's slow-call log, one record per line.
-func (c *StatsClient) Slow() (string, error) { return c.call("slow") }
-
-// SnapshotData fetches the remote ORB's metrics snapshot in structured
-// form, suitable for Delta/Rate/Quantile computations (coolstat -watch).
-func (c *StatsClient) SnapshotData() (MetricsSnapshot, error) {
-	var s MetricsSnapshot
-	err := c.obj.Invoke("snapshot_bin", nil, func(dec *cdr.Decoder) error {
-		body, err := dec.ReadEncapsulation()
-		if err != nil {
-			return err
-		}
-		s, err = decodeSnapshot(body)
-		return err
-	})
-	return s, err
-}
-
-func (c *StatsClient) call(op string) (string, error) {
-	var out string
-	err := c.obj.Invoke(op, nil, func(dec *cdr.Decoder) error {
-		var err error
-		out, err = dec.ReadString()
-		return err
-	})
-	return out, err
-}
-
-// Invoke implements Servant.
-func (s *StatsServant) Invoke(inv *Invocation) (ReplyWriter, error) {
-	switch inv.Operation {
-	case "snapshot":
-		text := s.orb.Metrics().Snapshot().Text()
-		return func(enc *cdr.Encoder) { enc.WriteString(text) }, nil
-	case "snapshot_bin":
-		snap := s.orb.Metrics().Snapshot()
-		return func(enc *cdr.Encoder) {
-			enc.WriteEncapsulation(cdr.EncodeEncapsulation(cdr.BigEndian, func(e *cdr.Encoder) {
-				encodeSnapshot(e, snap)
-			}))
-		}, nil
-	case "trace":
-		text := ""
-		if l, ok := s.orb.Tracer().Observer().(*obs.TraceLog); ok {
-			text = l.String()
-		}
-		return func(enc *cdr.Encoder) { enc.WriteString(text) }, nil
-	case "slow":
-		text := s.orb.SlowCalls().String()
-		return func(enc *cdr.Encoder) { enc.WriteString(text) }, nil
-	default:
-		return nil, giop.BadOperation()
-	}
-}
