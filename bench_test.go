@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cool"
 	"cool/internal/cdr"
 	"cool/internal/dacapo"
 	"cool/internal/dacapo/modules"
@@ -312,7 +313,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		defer env.Close()
 		if withObserver {
-			env.EnableTracing()
+			cool.TraceLog(env.Client)
+			cool.TraceLog(env.Server)
 		}
 		obj := env.Object()
 		if err := experiments.Echo(obj, payload); err != nil {

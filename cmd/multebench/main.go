@@ -6,31 +6,20 @@
 //	multebench                         # run everything
 //	multebench -experiment fig9        # one experiment: fig9 | giop |
 //	                                   # negotiation | transport | config |
-//	                                   # marshal | obs | load | pipeline
-//	multebench -experiment load \
-//	  -load-conc 10000 -load-rate 0    # E11: high-concurrency echo load,
-//	                                   # closed loop (-load-rate 0) or
-//	                                   # open loop (arrivals/second);
-//	                                   # -load-json for machine output
+//	                                   # marshal | pipeline | reconfig
 //	multebench -experiment pipeline    # E10: high-RTT request pipelining
 //	multebench -experiment reconfig    # E12: mid-stream module-graph
 //	                                   # renegotiation under load (no
 //	                                   # loss, no duplication)
 //	multebench -quick                  # smaller sample counts
-//	multebench -stats                  # metrics snapshot + recent trace
-//	                                   # events after each run
-//	multebench -json                   # machine-readable output of the
-//	                                   # perf-regression set (transport,
-//	                                   # marshal, giop) — the format
-//	                                   # recorded in BENCH_PR*.json
 //
 // Output is plain text tables, one per experiment, in the same arrangement
 // as the paper (Figure 9: configurations × packet sizes, throughput in
-// Mbit/s).
+// Mbit/s). Performance comparisons between revisions are bench/run.sh's
+// job, not this tool's.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,66 +36,64 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options are multebench's command-line flags.
+type options struct {
+	experiment string
+	quick      bool
+}
+
+func newFlagSet(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("multebench", flag.ContinueOnError)
-	exp := fs.String("experiment", "all", "experiment to run: fig9|giop|negotiation|transport|config|marshal|obs|load|pipeline|reconfig|all")
-	quick := fs.Bool("quick", false, "smaller sample counts (noisier, faster)")
-	stats := fs.Bool("stats", false, "print a metrics snapshot and recent trace events after each run")
-	jsonOut := fs.Bool("json", false, "emit the perf-regression set (transport, marshal, giop) as JSON")
-	loadConc := fs.Int("load-conc", 1000, "load: concurrent callers (closed loop) / outstanding cap (open loop)")
-	loadPayload := fs.Int("load-payload", 256, "load: echo payload octets")
-	loadDur := fs.Duration("load-duration", 2*time.Second, "load: measurement window")
-	loadRate := fs.Int("load-rate", 0, "load: open-loop arrivals per second (0 = closed loop)")
-	loadJSON := fs.Bool("load-json", false, "load/pipeline: emit the result as JSON instead of a table")
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.experiment, "experiment", "all", "experiment to run: fig9|giop|negotiation|transport|config|marshal|pipeline|reconfig|all")
+	fs.BoolVar(&o.quick, "quick", false, "smaller sample counts (noisier, faster)")
+	return fs
+}
+
+// table is one experiment multebench prints.
+type table struct {
+	name string
+	run  func(quick bool) error
+}
+
+// tables lists every experiment, in the order "all" runs them.
+var tables = []table{
+	{"fig9", runFig9},
+	{"giop", func(quick bool) error { return runGIOP(samples(quick), payload) }},
+	{"negotiation", func(quick bool) error { return runNegotiation(samples(quick)/4, payload) }},
+	{"transport", func(quick bool) error { return runTransport(samples(quick), payload) }},
+	{"config", func(bool) error { return runConfig() }},
+	{"marshal", func(bool) error { return runMarshal() }},
+	{"pipeline", runPipeline},
+	{"reconfig", runReconfig},
+}
+
+// payload is the echo size of the latency experiments.
+const payload = 1024
+
+// samples is the round-trip count of the latency experiments.
+func samples(quick bool) int {
+	if quick {
+		return 50
+	}
+	return 400
+}
+
+func run(args []string) error {
+	var o options
+	if err := newFlagSet(&o).Parse(args); err != nil {
 		return err
 	}
-
-	if *stats {
-		experiments.StatsHook = func(label, report string) {
-			fmt.Printf("\n── stats [%s] ──\n%s", label, report)
+	if o.experiment != "all" {
+		for _, t := range tables {
+			if t.name == o.experiment {
+				return t.run(o.quick)
+			}
 		}
-		defer func() { experiments.StatsHook = nil }()
+		return fmt.Errorf("unknown experiment %q", o.experiment)
 	}
-
-	n := 400
-	payload := 1024
-	if *quick {
-		n = 50
-	}
-
-	if *jsonOut {
-		return runJSON(n, payload, *quick)
-	}
-
-	loadOpts := experiments.LoadOptions{
-		Conc:       *loadConc,
-		Payload:    *loadPayload,
-		Duration:   *loadDur,
-		RatePerSec: *loadRate,
-	}
-	runs := map[string]func() error{
-		"fig9":        func() error { return runFig9(*quick) },
-		"giop":        func() error { return runGIOP(n, payload) },
-		"negotiation": func() error { return runNegotiation(n/4, payload) },
-		"transport":   func() error { return runTransport(n, payload) },
-		"config":      func() error { return runConfig() },
-		"marshal":     func() error { return runMarshal() },
-		"obs":         func() error { return runObs(n / 8) },
-		"load":        func() error { return runLoad(loadOpts, *loadJSON) },
-		"pipeline":    func() error { return runPipeline(*quick, *loadJSON) },
-		"reconfig":    func() error { return runReconfig(*quick) },
-	}
-	if *exp != "all" {
-		fn, ok := runs[*exp]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", *exp)
-		}
-		return fn()
-	}
-	for _, name := range []string{"fig9", "giop", "negotiation", "transport", "config", "marshal", "obs", "load", "pipeline", "reconfig"} {
-		if err := runs[name](); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	for _, t := range tables {
+		if err := t.run(o.quick); err != nil {
+			return fmt.Errorf("%s: %w", t.name, err)
 		}
 	}
 	return nil
@@ -114,91 +101,6 @@ func run(args []string) error {
 
 func header(title string) {
 	fmt.Printf("\n══ %s ══\n\n", title)
-}
-
-// jsonRT is RTStats in nanoseconds for machine consumption.
-type jsonRT struct {
-	Samples int   `json:"samples"`
-	MeanNs  int64 `json:"mean_ns"`
-	P50Ns   int64 `json:"p50_ns"`
-	P95Ns   int64 `json:"p95_ns"`
-	P99Ns   int64 `json:"p99_ns"`
-}
-
-func toJSONRT(s experiments.RTStats) jsonRT {
-	return jsonRT{Samples: s.N, MeanNs: s.Mean.Nanoseconds(),
-		P50Ns: s.P50.Nanoseconds(), P95Ns: s.P95.Nanoseconds(), P99Ns: s.P99.Nanoseconds()}
-}
-
-// jsonReport is the machine-readable result of the perf-regression set.
-// BENCH_PR*.json files record snapshots of this data (plus the matching
-// `go test -bench` numbers) across PRs.
-type jsonReport struct {
-	Timestamp string `json:"timestamp"`
-	Quick     bool   `json:"quick"`
-	Transport []struct {
-		Transport string `json:"transport"`
-		RT        jsonRT `json:"rt"`
-	} `json:"transport"`
-	Marshal []struct {
-		Version   string  `json:"version"`
-		QoSParams int     `json:"qos_params"`
-		WireBytes int     `json:"wire_bytes"`
-		EncodeNs  float64 `json:"encode_ns"`
-		DecodeNs  float64 `json:"decode_ns"`
-	} `json:"marshal"`
-	GIOP struct {
-		Plain jsonRT `json:"giop_1_0"`
-		QoS   jsonRT `json:"giop_9_9"`
-	} `json:"giop"`
-}
-
-// runJSON measures the perf-regression experiments and prints one JSON
-// document to stdout.
-func runJSON(n, payload int, quick bool) error {
-	var rep jsonReport
-	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	rep.Quick = quick
-
-	points, err := experiments.RunTransportComparison(n, payload)
-	if err != nil {
-		return err
-	}
-	for _, p := range points {
-		rep.Transport = append(rep.Transport, struct {
-			Transport string `json:"transport"`
-			RT        jsonRT `json:"rt"`
-		}{p.Transport, toJSONRT(p.Stats)})
-	}
-
-	iters := 20000
-	if quick {
-		iters = 2000
-	}
-	rows, err := experiments.RunMarshalComparison(iters)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rep.Marshal = append(rep.Marshal, struct {
-			Version   string  `json:"version"`
-			QoSParams int     `json:"qos_params"`
-			WireBytes int     `json:"wire_bytes"`
-			EncodeNs  float64 `json:"encode_ns"`
-			DecodeNs  float64 `json:"decode_ns"`
-		}{r.Version, r.QoSParams, r.WireBytes, r.EncodeNs, r.DecodeNs})
-	}
-
-	cmp, err := experiments.RunGIOPComparison(n, payload)
-	if err != nil {
-		return err
-	}
-	rep.GIOP.Plain = toJSONRT(cmp.Plain)
-	rep.GIOP.QoS = toJSONRT(cmp.QoS)
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 func runFig9(quick bool) error {
@@ -309,61 +211,15 @@ func runConfig() error {
 	return nil
 }
 
-func runObs(n int) error {
-	header("E7 — observability: cross-process tracing and metrics (Da CaPo over TCP)")
-	if n < 4 {
-		n = 4
-	}
-	demo, err := experiments.RunObsDemo(n)
-	if err != nil {
-		return err
-	}
-	fmt.Print(demo.Report)
-	return nil
-}
-
-func runLoad(opts experiments.LoadOptions, asJSON bool) error {
-	if !asJSON {
-		mode := "closed loop"
-		if opts.RatePerSec > 0 {
-			mode = fmt.Sprintf("open loop, %d arrivals/s", opts.RatePerSec)
-		}
-		header(fmt.Sprintf("E11 — connection multiplexing at scale (%d callers, %s)", opts.Conc, mode))
-	}
-	res, err := experiments.RunLoad(opts)
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(w, "mode\tconc\treqs\terrs\tdropped\treq/s\tp50\tp95\tp99\tflush mean/p99\tflow p99\t")
-	fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.0f\t%dµs\t%dµs\t%dµs\t%.1f/%d\t%dµs\t\n",
-		res.Mode, res.Conc, res.Requests, res.Errors, res.Dropped, res.Throughput,
-		res.P50us, res.P95us, res.P99us, res.FlushBatchMean, res.FlushBatchP99, res.FlowWaitP99us)
-	w.Flush()
-	return nil
-}
-
-func runPipeline(quick, asJSON bool) error {
+func runPipeline(quick bool) error {
 	rtt, conc, invocations := 20*time.Millisecond, 32, 640
 	if quick {
 		rtt, conc, invocations = 5*time.Millisecond, 16, 320
 	}
-	if !asJSON {
-		header(fmt.Sprintf("E10 — request pipelining on one connection (simulated %v RTT)", rtt))
-	}
+	header(fmt.Sprintf("E10 — request pipelining on one connection (simulated %v RTT)", rtt))
 	res, err := experiments.RunPipelineExperiment(rtt, conc, invocations)
 	if err != nil {
 		return err
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
 	}
 	w := tabwriter.NewWriter(os.Stdout, 8, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(w, "rtt\tcallers\tinvocations\tsequential req/s\tpipelined req/s\tspeedup\tflush p99\t")

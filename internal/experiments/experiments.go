@@ -21,7 +21,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"cool/internal/cdr"
@@ -29,7 +28,6 @@ import (
 	"cool/internal/dacapo/modules"
 	"cool/internal/giop"
 	"cool/internal/netsim"
-	"cool/internal/obs"
 	"cool/internal/orb"
 	"cool/internal/qos"
 	"cool/internal/transport"
@@ -213,24 +211,11 @@ func summarize(samples []time.Duration) RTStats {
 	}
 }
 
-// StatsHook, when non-nil, receives each Env's observability report as the
-// Env closes (cmd/multebench -stats wires it to stdout). Setting it also
-// makes NewEnv install trace recorders on both ORBs, so the report carries
-// recent events in addition to metric snapshots.
-var StatsHook func(label, report string)
-
 // Env is a reusable two-ORB environment over one in-process network with a
 // Da CaPo transport at both ends.
 type Env struct {
 	Server, Client *orb.ORB
-	servant        *echoServant
-	ref            func() *orb.Object
 	obj            *orb.Object
-	label          string
-
-	// ClientLog/ServerLog record observability events when tracing is
-	// enabled (nil otherwise).
-	ClientLog, ServerLog *obs.TraceLog
 }
 
 // echoServant answers "echo" with its argument.
@@ -256,12 +241,7 @@ func (echoServant) Invoke(inv *orb.Invocation) (orb.ReplyWriter, error) {
 // NewEnv builds the environment listening on the given schemes, with the
 // Da CaPo transports running over an in-process network.
 func NewEnv(schemes ...string) (*Env, error) {
-	return NewEnvInner(transport.NewInprocManager(), schemes...)
-}
-
-// NewEnvInner is NewEnv with an explicit T service under the Da CaPo
-// transports (e.g. transport.NewTCPManager() for real sockets).
-func NewEnvInner(inner transport.Manager, schemes ...string) (*Env, error) {
+	inner := transport.NewInprocManager()
 	lib := modules.NewLibrary()
 	link := netsim.LAN().Capability()
 	server := orb.New(
@@ -277,10 +257,7 @@ func NewEnvInner(inner transport.Manager, schemes ...string) (*Env, error) {
 		m.Instrument(o.Metrics(), o.Tracer())
 		o.Transports().Register(m)
 	}
-	e := &Env{Server: server, Client: client, label: strings.Join(schemes, "+")}
-	if StatsHook != nil {
-		e.EnableTracing()
-	}
+	e := &Env{Server: server, Client: client}
 	for _, s := range schemes {
 		if _, err := server.ListenOn(s, ""); err != nil {
 			client.Shutdown()
@@ -299,56 +276,10 @@ func NewEnvInner(inner transport.Manager, schemes ...string) (*Env, error) {
 	return e, nil
 }
 
-// EnableTracing installs trace recorders on both ORBs (idempotent).
-func (e *Env) EnableTracing() {
-	if e.ClientLog == nil {
-		e.ClientLog = obs.NewTraceLog(0)
-		e.Client.SetObserver(e.ClientLog)
-	}
-	if e.ServerLog == nil {
-		e.ServerLog = obs.NewTraceLog(0)
-		e.Server.SetObserver(e.ServerLog)
-	}
-}
-
-// Close shuts both ORBs down and delivers the observability report to
-// StatsHook when one is set.
+// Close shuts both ORBs down.
 func (e *Env) Close() {
 	e.Client.Shutdown()
 	e.Server.Shutdown()
-	if StatsHook != nil {
-		StatsHook(e.label, e.Report())
-	}
-}
-
-// Report renders both ORBs' metric snapshots plus (when tracing is
-// enabled) the most recent observability events of each side.
-func (e *Env) Report() string {
-	var b strings.Builder
-	b.WriteString("--- client metrics ---\n")
-	b.WriteString(e.Client.Metrics().Snapshot().Text())
-	b.WriteString("--- server metrics ---\n")
-	b.WriteString(e.Server.Metrics().Snapshot().Text())
-	writeTail := func(title string, log *obs.TraceLog) {
-		if log == nil {
-			return
-		}
-		events := log.Events()
-		const tail = 12
-		if len(events) > tail {
-			fmt.Fprintf(&b, "--- %s (last %d of %d) ---\n", title, tail, len(events))
-			events = events[len(events)-tail:]
-		} else {
-			fmt.Fprintf(&b, "--- %s ---\n", title)
-		}
-		for _, ev := range events {
-			b.WriteString(ev.String())
-			b.WriteByte('\n')
-		}
-	}
-	writeTail("client events", e.ClientLog)
-	writeTail("server events", e.ServerLog)
-	return b.String()
 }
 
 // Object returns the client proxy for the echo servant.

@@ -22,6 +22,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -277,56 +278,54 @@ type HistogramPoint struct {
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // inside the bucket containing the target rank: a bucket (lo, hi] holding
-// the rank contributes lo + fraction·(hi−lo). Observations in the overflow
-// bucket report the last bound (the histogram cannot resolve beyond it).
+// the rank contributes lo + ⌈fraction·(hi−lo)⌉, which stays inside the
+// bucket. Observations in the overflow bucket report the last bound (the
+// histogram cannot resolve beyond it).
 func (p HistogramPoint) Quantile(q float64) uint64 {
-	if p.Count == 0 || len(p.Bounds) == 0 {
+	if len(p.Bounds) == 0 {
 		return 0
 	}
-	target := q * float64(p.Count)
-	if target < 1 {
-		target = 1
+	i, below, rank := p.rankBucket(q)
+	switch {
+	case i < 0:
+		return 0
+	case i >= len(p.Bounds):
+		return p.Bounds[len(p.Bounds)-1]
 	}
-	var cum uint64
-	for i, b := range p.Buckets {
-		if b == 0 {
-			continue
-		}
-		if float64(cum+b) >= target {
-			if i >= len(p.Bounds) {
-				return p.Bounds[len(p.Bounds)-1]
-			}
-			var lo uint64
-			if i > 0 {
-				lo = p.Bounds[i-1]
-			}
-			hi := p.Bounds[i]
-			frac := (target - float64(cum)) / float64(b)
-			return lo + uint64(frac*float64(hi-lo))
-		}
-		cum += b
+	var lo uint64
+	if i > 0 {
+		lo = p.Bounds[i-1]
 	}
-	return p.Bounds[len(p.Bounds)-1]
+	frac := (rank - float64(below)) / float64(p.Buckets[i])
+	return lo + uint64(math.Ceil(frac*float64(p.Bounds[i]-lo)))
 }
 
 // Exemplar returns the trace ID recorded for the bucket containing the
 // q-quantile (zero when none was recorded there).
 func (p HistogramPoint) Exemplar(q float64) TraceID {
-	if p.Count == 0 || len(p.Exemplars) == 0 {
+	i, _, _ := p.rankBucket(q)
+	if i < 0 || i >= len(p.Exemplars) {
 		return 0
 	}
-	target := q * float64(p.Count)
-	if target < 1 {
-		target = 1
+	return TraceID(p.Exemplars[i])
+}
+
+// rankBucket finds the bucket holding the q-quantile's rank (at least 1):
+// its index, the count of observations below it, and the rank. The index
+// is -1 for an empty histogram and len(p.Buckets) when the buckets hold
+// fewer observations than Count.
+func (p HistogramPoint) rankBucket(q float64) (i int, below uint64, rank float64) {
+	if p.Count == 0 {
+		return -1, 0, 0
 	}
-	var cum uint64
-	for i, b := range p.Buckets {
-		cum += b
-		if b > 0 && float64(cum) >= target {
-			return TraceID(p.Exemplars[i])
+	rank = max(q*float64(p.Count), 1)
+	for j, b := range p.Buckets {
+		if b > 0 && float64(below+b) >= rank {
+			return j, below, rank
 		}
+		below += b
 	}
-	return 0
+	return len(p.Buckets), below, rank
 }
 
 // TailExemplar returns the exemplar of the highest occupied bucket that

@@ -132,6 +132,30 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileStaysInBucket pins the estimate inside the bucket
+// that holds the rank: a histogram of 1s must not report 0, the lower
+// bound of its (0,1] bucket.
+func TestHistogramQuantileStaysInBucket(t *testing.T) {
+	bounds := []uint64{1, 2, 4, 8, 16}
+	ones := NewHistogram(bounds)
+	for i := 0; i < 376; i++ {
+		ones.Observe(1)
+	}
+	p := ones.snapshot("ones")
+	for _, q := range []float64{0.01, 0.5, 0.95, 0.99, 1} {
+		if got := p.Quantile(q); got != 1 {
+			t.Errorf("all-1s q%.2f = %d, want 1", q, got)
+		}
+	}
+	threes := NewHistogram(bounds)
+	for i := 0; i < 376; i++ {
+		threes.Observe(3)
+	}
+	if got := threes.snapshot("threes").Quantile(0.5); got != 3 {
+		t.Errorf("all-3s p50 = %d, want 3", got)
+	}
+}
+
 func TestHistogramExemplars(t *testing.T) {
 	h := NewHistogram([]uint64{1, 2, 4, 8, 16})
 	h.ObserveTrace(3, TraceID(0xaaaa))   // (2,4]
