@@ -103,13 +103,13 @@ func allocSummarize(prog *Program, pf *progFunc, s *Summary) {
 // allocation sites and call edges.
 func collectAllocFacts(prog *Program, pf *progFunc) *allocFuncFacts {
 	facts := &allocFuncFacts{}
-	if _, ok := funcAnnotation(pf.decl, "hotpath"); ok {
+	if funcAnnotated(pf.decl, "hotpath") {
 		facts.hotRoot = true
 	}
-	if _, ok := funcAnnotation(pf.decl, "coldpath"); ok {
+	if funcAnnotated(pf.decl, "coldpath") {
 		facts.coldFunc = true
 	}
-	if _, ok := funcAnnotation(pf.decl, "allocator"); ok {
+	if funcAnnotated(pf.decl, "allocator") {
 		facts.allocator = true
 	}
 	if facts.coldFunc || facts.allocator {
@@ -635,11 +635,11 @@ func isFormatCall(callee types.Object) bool {
 }
 
 // allocSanctioned reports whether a call target is part of the sanctioned
-// arena/pool machinery: the poolpair intrinsics, interned operation
+// arena/pool machinery: the pool entry points, interned operation
 // names, sync.Pool itself, //coollint:allocator functions, and helpers
 // whose summaries show them returning pooled objects.
 func allocSanctioned(prog *Program, callee types.Object) bool {
-	if intrinsicAcquireKind(callee) != "" || intrinsicReleaseKind(callee) != "" {
+	if intrinsicPoolOp(callee) != opNone {
 		return true
 	}
 	if isFunc(callee, "cool/internal/giop", "InternOp") {
@@ -653,10 +653,10 @@ func allocSanctioned(prog *Program, callee types.Object) bool {
 		return false
 	}
 	if pf := prog.funcs[fn]; pf != nil {
-		if _, ok := funcAnnotation(pf.decl, "allocator"); ok {
+		if funcAnnotated(pf.decl, "allocator") {
 			return true
 		}
-		if sum := prog.sums[fn]; sum != nil && sum.acquires != "" {
+		if sum := prog.sums[fn]; sum != nil && sum.acquires {
 			return true
 		}
 	}
@@ -665,8 +665,7 @@ func allocSanctioned(prog *Program, callee types.Object) bool {
 
 // allocColdDecl reports a //coollint:coldpath function declaration.
 func allocColdDecl(decl *ast.FuncDecl) bool {
-	_, ok := funcAnnotation(decl, "coldpath")
-	return ok
+	return funcAnnotated(decl, "coldpath")
 }
 
 // isPointerShaped reports whether values of t fit an interface data word

@@ -20,11 +20,10 @@
 //
 // Analyzers:
 //
-//   - poolpair:   every acquired pool object (cdr.AcquireEncoder,
-//     giop.UnmarshalPooled/AcquireMessage, bufpool.Get, functions
-//     annotated //coollint:acquires, and helpers whose summaries show
-//     them acquiring or releasing) is released on all control-flow
-//     paths, never released twice, and never used after release.
+//   - poolpair:   every object acquired from a pool (bufpool.Get, a typed
+//     bufpool.Pool's Get, and every helper whose summary shows it
+//     returning one) is released on all control-flow paths, never
+//     released twice, and never used after release.
 //   - lockhold:   no blocking channel operation, select without default,
 //     or sync Wait while a sync.Mutex/RWMutex is held.
 //   - wiretaint:  integers decoded from the wire (cdr.Decoder reads,
@@ -52,8 +51,9 @@
 //
 // and on function declarations:
 //
-//	//coollint:acquires <kind>  calls return an owned pool object
-//	                            (kind: encoder, message, or buffer)
+//	//coollint:acquires         calls return an owned pooled object
+//	                            the summary cannot see (one held in a
+//	                            returned struct value)
 //	//coollint:releases         passing a tracked object releases it
 //	//coollint:hotpath          allocation-audit root: the warm spine
 //	//coollint:coldpath         off the latency path (setup, teardown)
@@ -226,21 +226,18 @@ func isLineStart(fset *token.FileSet, pos token.Pos, src []byte) bool {
 	return true
 }
 
-// funcAnnotation returns the directive value for a function declaration:
-// the text after "//coollint:<key>" in its doc comment or any comment
-// directly above it, e.g. key "acquires" over
-// "//coollint:acquires encoder" yields "encoder".
-func funcAnnotation(decl *ast.FuncDecl, key string) (string, bool) {
+// funcAnnotated reports whether a function declaration's doc comment
+// carries the directive "//coollint:<key>" (any text may follow it).
+func funcAnnotated(decl *ast.FuncDecl, key string) bool {
 	if decl.Doc == nil {
-		return "", false
+		return false
 	}
-	prefix := "//coollint:" + key
 	for _, c := range decl.Doc.List {
-		if strings.HasPrefix(c.Text, prefix) {
-			return strings.TrimSpace(c.Text[len(prefix):]), true
+		if strings.HasPrefix(c.Text, "//coollint:"+key) {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
 // ownerAnnotated reports whether the line of pos (or the line above it)

@@ -27,21 +27,26 @@ type expectation struct {
 
 // loadFixture type-checks one testdata package and collects its `want`
 // expectations. A line may carry several clauses: `// want "re1" "re2"`
-// expects two diagnostics on that line.
-func loadFixture(t *testing.T, dir string) (*Package, []*expectation) {
+// expects two diagnostics on that line. deps are the module packages the
+// fixture imports, directly or not.
+func loadFixture(t *testing.T, dir string) (pkg *Package, deps []*Package, wants []*expectation) {
 	t.Helper()
 	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkg, err := loader.LoadDir(dir)
+	pkg, err = loader.LoadDir(dir)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", dir, err)
 	}
 	if pkg == nil {
 		t.Fatalf("LoadDir(%s): no buildable package", dir)
 	}
-	var wants []*expectation
+	for _, res := range loader.loaded {
+		if res.pkg != nil && res.pkg != pkg {
+			deps = append(deps, res.pkg)
+		}
+	}
 	for file, src := range pkg.Src {
 		for i, line := range strings.Split(string(src), "\n") {
 			m := wantLineRe.FindStringSubmatch(line)
@@ -57,10 +62,10 @@ func loadFixture(t *testing.T, dir string) (*Package, []*expectation) {
 			}
 		}
 	}
-	return pkg, wants
+	return pkg, deps, wants
 }
 
-// runFixture applies analyzers to a fixture package and matches the
+// runFixture applies analyzers to a fixture package and matches its
 // diagnostics against its expectations: every diagnostic must match an
 // unconsumed want at its exact file:line, and every want must be hit.
 func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
@@ -72,12 +77,17 @@ func runFixture(t *testing.T, fixture string, analyzers ...*Analyzer) {
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("missing fixture: %v", err)
 	}
-	pkg, wants := loadFixture(t, dir)
+	pkg, deps, wants := loadFixture(t, dir)
 	if len(wants) < 2 {
 		t.Fatalf("fixture %s declares %d expectations; need at least 2 positive cases", fixture, len(wants))
 	}
-	diags := RunAnalyzers([]*Package{pkg}, analyzers)
+	// The fixture is analyzed with the module packages it imports, as in a
+	// module-wide run, so calls into them resolve through their summaries.
+	diags := RunAnalyzers(append([]*Package{pkg}, deps...), analyzers)
 	for _, d := range diags {
+		if pkg.Src[d.Pos.Filename] == nil {
+			continue // a finding in an imported package
+		}
 		matched := false
 		for _, w := range wants {
 			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
@@ -189,7 +199,7 @@ func TestLoaderSkipsNestedModule(t *testing.T) {
 // analyzer silences nothing. Every silenced finding is still collected
 // for -stats.
 func TestSuppressionScopes(t *testing.T) {
-	pkg, _ := loadFixture(t, mustAbs(t, filepath.Join("testdata", "src", "lockhold")))
+	pkg, _, _ := loadFixture(t, mustAbs(t, filepath.Join("testdata", "src", "lockhold")))
 	if len(pkg.Src) != 1 {
 		t.Fatalf("lockhold fixture has %d files, want 1", len(pkg.Src))
 	}

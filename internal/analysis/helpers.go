@@ -131,24 +131,6 @@ func namedOf(t types.Type) *types.Named {
 	}
 }
 
-// funcDeclsOf indexes the package's function declarations by their object,
-// so analyzers can consult annotations on same-package helpers.
-func funcDeclsOf(pass *Pass) map[types.Object]*ast.FuncDecl {
-	decls := make(map[types.Object]*ast.FuncDecl)
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj := pass.Info.Defs[fd.Name]; obj != nil {
-				decls[obj] = fd
-			}
-		}
-	}
-	return decls
-}
-
 // nilCheckOf decodes a condition of the form `x != nil` or `x == nil`
 // where x is a plain identifier, returning x's object and the operator
 // sense (true for !=).

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // This file is the interprocedural layer of the framework: a module-wide
@@ -75,12 +76,12 @@ type Summary struct {
 	// loop-bound sink inside the function without a guard.
 	sinkParam uint64
 
-	// acquires names the pool-object kind the function returns ownership
-	// of ("" when it is not an acquire helper).
-	acquires string
-	// releasesParam[i] names the pool-object kind the function releases
-	// when handed one as parameter i ("" when it does not).
-	releasesParam []string
+	// acquires reports that the function returns ownership of a pooled
+	// object.
+	acquires bool
+	// releasesParam[i] reports that the function releases (or queues) a
+	// pooled object handed to it as parameter i.
+	releasesParam []bool
 
 	// locks is the set of mutex classes the function (or a callee) may
 	// acquire — released-before-return acquisitions included, since they
@@ -116,7 +117,7 @@ func (p *Program) summaryOf(obj types.Object) *Summary {
 	if !ok {
 		return nil
 	}
-	return p.sums[fn]
+	return p.sums[fn.Origin()] // a generic method is summarized once
 }
 
 // BuildProgram indexes every function declaration in pkgs and computes
@@ -219,7 +220,7 @@ func newSummary(pf *progFunc) *Summary {
 		nParams:       len(pf.params),
 		nResults:      sig.Results().Len(),
 		resultBits:    make([]uint64, sig.Results().Len()),
-		releasesParam: make([]string, len(pf.params)),
+		releasesParam: make([]bool, len(pf.params)),
 		locks:         lockKeySet{},
 		freshLocks:    lockKeySet{},
 	}
@@ -233,17 +234,7 @@ func (s *Summary) equal(o *Summary) bool {
 		!s.locks.equal(o.locks) || !s.freshLocks.equal(o.freshLocks) {
 		return false
 	}
-	for i := range s.resultBits {
-		if s.resultBits[i] != o.resultBits[i] {
-			return false
-		}
-	}
-	for i := range s.releasesParam {
-		if s.releasesParam[i] != o.releasesParam[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.resultBits, o.resultBits) && slices.Equal(s.releasesParam, o.releasesParam)
 }
 
 // sccs condenses the call graph with Tarjan's algorithm and returns the
@@ -377,209 +368,213 @@ func isChanType(info *types.Info, e ast.Expr) bool {
 // --- poolpair effects -------------------------------------------------
 
 // poolSummarize computes acquire/release effects so poolpair can follow
-// ownership through un-annotated helpers in any analyzed package.
+// ownership through helpers in any analyzed package. Every wrapper around
+// the pools (cdr.AcquireEncoder, giop.ReleaseMessage, dacapo.PutPacket,
+// ...) is derived here from the bufpool entry points it calls.
 func poolSummarize(prog *Program, pf *progFunc, s *Summary) {
 	info := pf.pkg.Info
-
 	// An //coollint:acquires annotation is authoritative; otherwise a
 	// function that returns the result of an acquire call (directly or
 	// through a single local) is itself an acquire helper.
-	if v, ok := funcAnnotation(pf.decl, "acquires"); ok {
-		switch v {
-		case kindEncoder, kindMessage, kindBuffer:
-			s.acquires = v
-		}
-	} else {
-		s.acquires = acquiredReturnKind(prog, pf)
-	}
-
-	// releasesParam: the body hands parameter i to a known release
-	// entry point (intrinsic table, annotation, or a callee summary) —
-	// or element-appends it into escaping storage (queue handoff), in
-	// which case the queue's drainer owns the release and the call
-	// counts as one for the caller.
+	s.acquires = funcAnnotated(pf.decl, "acquires") || returnsAcquired(prog, pf)
+	// releasesParam: the body releases parameter i itself (a release
+	// entry point or a callee summary) or element-appends it into
+	// escaping storage (queue handoff), in which case the queue's drainer
+	// owns the release and the call counts as one for the caller.
+	// Annotated //coollint:releases functions free whatever they are
+	// handed.
+	releasesAll := funcAnnotated(pf.decl, "releases")
 	for i, param := range pf.params {
-		if kind := releasedParamKind(prog, pf, info, param); kind != "" {
-			s.releasesParam[i] = kind
-		} else if kind := queuedParamKind(info, pf, param); kind != "" {
-			s.releasesParam[i] = kind
-		}
-	}
-	if _, ok := funcAnnotation(pf.decl, "releases"); ok {
-		// Annotated releasers free whatever tracked object they are handed.
-		for i := range s.releasesParam {
-			if s.releasesParam[i] == "" {
-				s.releasesParam[i] = "any"
-			}
-		}
+		eff, _ := callEffectIn(prog, info, pf.decl.Body, param)
+		s.releasesParam[i] = releasesAll || eff == effRelease || queuesParam(info, pf, param)
 	}
 }
 
-// intrinsicAcquireKind classifies the hardwired pool acquire entry
-// points.
-func intrinsicAcquireKind(callee types.Object) string {
+// poolOp classifies a pool entry point.
+type poolOp uint8
+
+const (
+	opNone poolOp = iota
+	opAcquire
+	opRelease
+)
+
+// intrinsicPoolOp is the one table of pool entry points: the shared
+// arena's Get/Put, a typed bufpool.Pool's Get/Put, and the decode/release
+// pair of a codec reached through an interface, which has no summary.
+// Every other acquire or release helper is derived by poolSummarize.
+func intrinsicPoolOp(callee types.Object) poolOp {
+	const bufpool = "cool/internal/bufpool"
 	switch {
-	case isFunc(callee, "cool/internal/cdr", "AcquireEncoder"):
-		return kindEncoder
-	case isFunc(callee, "cool/internal/giop", "AcquireMessage"),
-		isFunc(callee, "cool/internal/giop", "UnmarshalPooled"),
-		isMethod(callee, "", "UnmarshalPooled"):
-		return kindMessage
-	case isFunc(callee, "cool/internal/bufpool", "Get"):
-		return kindBuffer
+	case isFunc(callee, bufpool, "Get"), isMethod(callee, bufpool, "Get"),
+		isInterfaceMethod(callee, "UnmarshalPooled"):
+		return opAcquire
+	case isFunc(callee, bufpool, "Put"), isMethod(callee, bufpool, "Put"),
+		isInterfaceMethod(callee, "ReleaseMessage"):
+		return opRelease
 	}
-	return ""
+	return opNone
 }
 
-// intrinsicReleaseKind classifies the hardwired release entry points by
-// the kind they free.
-func intrinsicReleaseKind(callee types.Object) string {
-	switch {
-	case isFunc(callee, "cool/internal/cdr", "ReleaseEncoder"),
-		isMethod(callee, "cool/internal/cdr", "Detach"):
-		return kindEncoder
-	case isFunc(callee, "cool/internal/giop", "ReleaseMessage"),
-		isMethod(callee, "", "ReleaseMessage"):
-		return kindMessage
-	case isFunc(callee, "cool/internal/bufpool", "Put"),
-		isFunc(callee, "cool/internal/transport", "PutBuffer"),
-		isFunc(callee, "cool/internal/giop", "ReleaseFrame"):
-		return kindBuffer
-	}
-	return ""
-}
-
-// acquireKindOf resolves a call to the pool kind it acquires, consulting
-// intrinsics first and callee summaries second.
-func acquireKindOf(prog *Program, info *types.Info, call *ast.CallExpr) string {
-	callee := calleeOf(info, call)
+// acquiresPooled reports whether calling callee returns ownership of a
+// pooled object, by the intrinsic table or the callee's summary.
+func acquiresPooled(prog *Program, callee types.Object) bool {
 	if callee == nil {
-		return ""
+		return false
 	}
-	if k := intrinsicAcquireKind(callee); k != "" {
-		return k
+	if intrinsicPoolOp(callee) == opAcquire {
+		return true
 	}
-	if sum := prog.summaryOf(callee); sum != nil {
-		return sum.acquires
-	}
-	return ""
+	sum := prog.summaryOf(callee)
+	return sum != nil && sum.acquires
 }
 
-// acquiredReturnKind reports the kind when pf returns ownership of an
-// object it acquired: `return bufpool.Get(n)` or `b := bufpool.Get(n);
-// ...; return b`.
-func acquiredReturnKind(prog *Program, pf *progFunc) string {
+// returnsAcquired reports whether pf returns ownership of an object it
+// acquired: `return bufpool.Get(n)` or `b := bufpool.Get(n); ...; return b`.
+func returnsAcquired(prog *Program, pf *progFunc) bool {
 	info := pf.pkg.Info
-	// Map single-assignment locals to the kind they bind.
-	localKind := make(map[types.Object]string)
+	// Locals bound to an acquire call's result.
+	acquired := make(map[types.Object]bool)
 	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return true
 		}
 		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		kind := acquireKindOf(prog, info, call)
-		if kind == "" {
+		if !ok || !acquiresPooled(prog, calleeOf(info, call)) {
 			return true
 		}
 		if id, ok := as.Lhs[0].(*ast.Ident); ok {
 			if obj := objOf(info, id); obj != nil {
-				localKind[obj] = kind
+				acquired[obj] = true
 			}
 		}
 		return true
 	})
 
-	kind := ""
+	found := false
 	forEachOwnReturn(pf.decl.Body, func(ret *ast.ReturnStmt) {
 		if len(ret.Results) == 0 {
 			return
 		}
-		r := ast.Unparen(ret.Results[0])
-		if call, ok := r.(*ast.CallExpr); ok {
-			if k := acquireKindOf(prog, info, call); k != "" {
-				kind = k
-			}
-			return
-		}
-		if id, ok := r.(*ast.Ident); ok {
-			if k := localKind[objOf(info, id)]; k != "" {
-				kind = k
-			}
+		switch r := ast.Unparen(ret.Results[0]).(type) {
+		case *ast.CallExpr:
+			found = found || acquiresPooled(prog, calleeOf(info, r))
+		case *ast.Ident:
+			found = found || acquired[objOf(info, r)]
 		}
 	})
-	return kind
+	return found
 }
 
-// releasedParamKind reports the kind a function releases for one of its
-// parameters, following intrinsic release calls and callee summaries.
-func releasedParamKind(prog *Program, pf *progFunc, info *types.Info, param *types.Var) string {
-	kind := ""
-	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
-		if kind != "" {
+// poolEffect is what one call does with a pooled object handed to it,
+// ordered by strength: a call that passes the object twice has the
+// stronger effect.
+type poolEffect uint8
+
+const (
+	effNone     poolEffect = iota // not passed (or only read by a builtin or conversion)
+	effLend                       // an analyzed callee that keeps no hold: the caller still owns it
+	effTransfer                   // a callee without a summary: ownership is assumed to leave
+	effRelease                    // released or queued: the caller's obligation ends
+)
+
+// callEffect classifies how call treats obj. Only obj itself or a
+// reslice of it counts as passing it: a field reached through obj is
+// another object (Encoder.grow's bufpool.Put(e.buf) releases the buffer,
+// not the encoder). Arguments are mapped to the callee's receiver-first
+// parameter indexes.
+func callEffect(prog *Program, info *types.Info, call *ast.CallExpr, obj types.Object) poolEffect {
+	callee := calleeOf(info, call)
+	if callee == nil {
+		if tv, ok := info.Types[call.Fun]; ok && (tv.IsType() || tv.IsBuiltin()) {
+			return effNone // len(b), copy(b, x), []byte(s): no ownership moves
+		}
+		for _, a := range call.Args {
+			if isObjExpr(info, a, obj) {
+				return effTransfer // a func value: code this analysis cannot see
+			}
+		}
+		return effNone
+	}
+	recv := 0
+	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
+		recv = 1
+	}
+	op, sum := intrinsicPoolOp(callee), prog.summaryOf(callee)
+	eff := effNone
+	pass := func(i int) {
+		e := effLend
+		switch {
+		case op == opRelease && i >= recv:
+			e = effRelease // the released object is always an argument
+		case op != opNone:
+			e = effNone
+		case sum == nil:
+			e = effTransfer
+		case i < len(sum.releasesParam) && sum.releasesParam[i]:
+			e = effRelease
+		}
+		eff = max(eff, e)
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && recv == 1 && isObjExpr(info, sel.X, obj) {
+		pass(0)
+	}
+	for i, a := range call.Args {
+		if isObjExpr(info, a, obj) {
+			pass(i + recv)
+		}
+	}
+	return eff
+}
+
+// callEffectIn folds callEffect over every call in node outside nested
+// function literals, returning the strongest effect and the position of
+// the call that had it.
+func callEffectIn(prog *Program, info *types.Info, node ast.Node, obj types.Object) (eff poolEffect, pos token.Pos) {
+	ast.Inspect(node, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok || eff == effRelease {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := calleeOf(info, call)
-		if callee == nil {
-			return true
-		}
-		argIdx := -1
-		for i, a := range call.Args {
-			if id := rootIdent(a); id != nil && objOf(info, id) == param {
-				argIdx = i
-			}
-		}
-		recvIsParam := false
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if id := rootIdent(sel.X); id != nil && objOf(info, id) == param {
-				recvIsParam = true
-			}
-		}
-		if argIdx < 0 && !recvIsParam {
-			return true
-		}
-		if k := intrinsicReleaseKind(callee); k != "" {
-			kind = k
-			return false
-		}
-		if sum := prog.summaryOf(callee); sum != nil {
-			// Map the call-site argument to the callee's receiver-first index.
-			idx := argIdx
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if recvIsParam {
-					idx = 0
-				} else {
-					idx = argIdx + 1
-				}
-			}
-			if idx >= 0 && idx < len(sum.releasesParam) && sum.releasesParam[idx] != "" {
-				kind = sum.releasesParam[idx]
-				return false
+		if call, ok := n.(*ast.CallExpr); ok {
+			if e := callEffect(prog, info, call, obj); e > eff {
+				eff, pos = e, call.Pos()
 			}
 		}
 		return true
 	})
-	return kind
+	return eff, pos
 }
 
-// queuedParamKind reports the pool kind when the body stores parameter
-// `param` itself into escaping storage by element-append — `w.q =
-// append(w.q, p)`, the write-queue handoff idiom. Ownership moves to
-// whoever drains the queue, so callers may treat the call as a release
-// of the argument (poolpair's isReleaseOf consults this via the
-// summary).
-func queuedParamKind(info *types.Info, pf *progFunc, param *types.Var) string {
-	kind := poolKindOfType(param.Type())
-	if kind == "" {
-		return ""
+// isObjExpr reports whether e is obj itself or a reslice of it.
+func isObjExpr(info *types.Info, e ast.Expr, obj types.Object) bool {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return objOf(info, x) == obj
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return false
+		}
 	}
+}
+
+// isInterfaceMethod reports whether obj is the method name of an
+// interface type.
+func isInterfaceMethod(obj types.Object, name string) bool {
+	if !isMethod(obj, "", name) {
+		return false
+	}
+	recv := obj.Type().(*types.Signature).Recv()
+	return types.IsInterface(recv.Type())
+}
+
+// queuesParam reports whether the body stores parameter `param` itself
+// into escaping storage by element-append — `w.q = append(w.q, p)`, the
+// write-queue handoff idiom. Ownership moves to whoever drains the queue,
+// so callers treat the call as a release of the argument.
+func queuesParam(info *types.Info, pf *progFunc, param *types.Var) bool {
 	found := false
 	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
 		if found {
@@ -603,31 +598,7 @@ func queuedParamKind(info *types.Info, pf *progFunc, param *types.Var) string {
 		}
 		return !found
 	})
-	if !found {
-		return ""
-	}
-	return kind
-}
-
-// poolKindOfType maps a static type to the pool kind its values carry:
-// []byte buffers and *giop.Message messages. Encoders are excluded —
-// they are lent on calls, never queued.
-func poolKindOfType(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if n := namedOf(t); n != nil {
-		if o := n.Obj(); o != nil && o.Pkg() != nil &&
-			o.Pkg().Path() == "cool/internal/giop" && o.Name() == "Message" {
-			return kindMessage
-		}
-	}
-	if sl, ok := t.Underlying().(*types.Slice); ok {
-		if b, ok := sl.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Byte {
-			return kindBuffer
-		}
-	}
-	return ""
+	return found
 }
 
 // forEachOwnReturn visits the return statements of body that belong to

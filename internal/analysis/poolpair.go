@@ -6,38 +6,32 @@ import (
 	"go/types"
 )
 
-// PoolPair enforces the acquire/release contracts of the pooling layer:
-// every pooled object obtained in a function is released on every
-// control-flow path, released at most once, and not used after release.
+// PoolPair enforces the acquire/release contract of the pools: every
+// pooled object obtained in a function is released on every control-flow
+// path, released at most once, and not used after release.
 //
-// Tracked acquisitions (kind in parentheses):
+// The pools are the entry points: bufpool.Get/Put and a typed
+// bufpool.Pool's Get/Put (plus the decode/release pair of a codec reached
+// through an interface). Every wrapper around them — cdr.AcquireEncoder,
+// giop.UnmarshalPooled, dacapo.PutPacket, ... — is recognized from its
+// interprocedural summary, so any function that returns an acquired
+// object is an acquisition and any function that releases or queues a
+// parameter is a release of its argument. A release counts only when the
+// object itself (or a reslice of it) is the argument or receiver; a field
+// reached through the object is another object.
 //
-//	cdr.AcquireEncoder            (encoder)
-//	giop.AcquireMessage           (message)
-//	giop.UnmarshalPooled          (message; nil on error)
-//	method UnmarshalPooled        (message; the orb.Codec contract)
-//	bufpool.Get                   (buffer)
-//	same-package functions annotated //coollint:acquires <kind>
-//
-// Matching releases:
-//
-//	encoder: cdr.ReleaseEncoder(e), e.Detach()
-//	message: giop.ReleaseMessage(m), method ReleaseMessage(m)
-//	buffer:  bufpool.Put(b), transport.PutBuffer(b), giop.ReleaseFrame(b)
-//	any:     same-package functions annotated //coollint:releases
-//
-// Ownership may leave the function without a release: returning the
-// object, sending it on a channel, or (for messages and buffers, whose
-// contract passes ownership with the value) handing it to another
-// function all transfer responsibility to the receiver. Encoders are
-// only lent on calls and stay owned. Element-appending the object into a
-// slice — `w.q = append(w.q, frame)`, the flush-queue idiom — stores the
-// object itself and is recognized as a handoff like a channel send: the
-// queue's drainer inherits the release obligation. Spread-appending
-// (`dst = append(dst, b...)`) only copies the bytes and leaves the
-// object owned. Any other store of a tracked object into a struct field
-// or package variable requires a //coollint:owner annotation on the
-// acquisition line.
+// One rule covers every other call that is handed the object: an
+// analyzed callee whose summary neither releases nor queues it only
+// borrows it, so the caller still owns it; a callee without a summary
+// (interface method, func value, code outside the module) takes it.
+// Returning the object or sending it on a channel also hands ownership
+// out. Element-appending the object into a slice — `w.q = append(w.q,
+// frame)`, the flush-queue idiom — stores the object itself and counts as
+// a handoff like a channel send. Spread-appending (`dst = append(dst,
+// b...)`) only copies the bytes and leaves the object owned. Any other
+// store of a tracked object into a struct field or package variable
+// requires a //coollint:owner annotation on the acquisition line.
+// Assigning an unrelated value to the variable ends its acquisition.
 //
 // Two-value acquisitions (`m, err := UnmarshalPooled(frame)`) are
 // correlated with `if err != nil` guards: on the error branch the callee
@@ -46,21 +40,6 @@ var PoolPair = &Analyzer{
 	Name: "poolpair",
 	Doc:  "pooled objects are released exactly once on every path",
 	Run:  runPoolPair,
-}
-
-// Pool object kinds.
-const (
-	kindEncoder = "encoder"
-	kindMessage = "message"
-	kindBuffer  = "buffer"
-)
-
-// releaseName names the canonical release entry point per kind, for
-// diagnostics.
-var releaseName = map[string]string{
-	kindEncoder: "cdr.ReleaseEncoder or Detach",
-	kindMessage: "ReleaseMessage",
-	kindBuffer:  "bufpool.Put",
 }
 
 // Possible ownership states of one acquisition along a path (bitmask:
@@ -75,7 +54,6 @@ const (
 
 // acquisition is one tracked acquire site.
 type acquisition struct {
-	kind string
 	// obj is the variable binding the acquired object.
 	obj types.Object
 	// errObj, when non-nil, is the error result correlated with obj.
@@ -91,7 +69,6 @@ type acquisition struct {
 func runPoolPair(pass *Pass) {
 	pp := &poolPairChecker{
 		pass:     pass,
-		decls:    funcDeclsOf(pass),
 		reported: make(map[reportKey]bool),
 	}
 	for _, file := range pass.Files {
@@ -110,8 +87,7 @@ func runPoolPair(pass *Pass) {
 }
 
 type poolPairChecker struct {
-	pass  *Pass
-	decls map[types.Object]*ast.FuncDecl
+	pass *Pass
 	// reported dedups diagnostics across worklist revisits.
 	reported map[reportKey]bool
 }
@@ -137,24 +113,23 @@ func (pp *poolPairChecker) checkBody(file *ast.File, body *ast.BlockStmt) {
 	if !ok {
 		return // unmodeled control flow (goto): skip, do not guess
 	}
-	acqs := pp.findAcquisitions(file, body, g)
+	acqs := pp.findAcquisitions(file, g)
 	for _, acq := range acqs {
 		pp.flow(g, acq)
 	}
 }
 
 // findAcquisitions scans the CFG atoms of body for tracked acquire calls.
-func (pp *poolPairChecker) findAcquisitions(file *ast.File, body *ast.BlockStmt, g *cfg) []*acquisition {
+func (pp *poolPairChecker) findAcquisitions(file *ast.File, g *cfg) []*acquisition {
 	var acqs []*acquisition
 	for _, blk := range g.blocks {
 		for i, at := range blk.atoms {
-			node := atomNode(at)
+			node := ownAtomNode(at)
 			if node == nil {
 				continue
 			}
-			calls := pp.acquireCalls(body, node)
-			for _, ac := range calls {
-				acq := pp.bindAcquisition(file, at, ac, blk, i)
+			for _, call := range pp.acquireCalls(node) {
+				acq := pp.bindAcquisition(file, at, call, blk, i)
 				if acq != nil {
 					acqs = append(acqs, acq)
 				}
@@ -178,75 +153,41 @@ func atomNode(at atom) ast.Node {
 	return nil
 }
 
-type acquireCall struct {
-	call *ast.CallExpr
-	kind string
-	what string
+// ownAtomNode is atomNode without the body of a range statement, whose
+// statements are atoms of their own: the range atom evaluates only the
+// ranged expression.
+func ownAtomNode(at atom) ast.Node {
+	if rs, ok := at.stmt.(*ast.RangeStmt); ok {
+		return rs.X
+	}
+	return atomNode(at)
 }
 
-// acquireCalls finds tracked acquire calls in node, excluding nested
-// function literals (analyzed separately) but including the body argument
-// of the enclosing body's defer/go statements.
-func (pp *poolPairChecker) acquireCalls(body *ast.BlockStmt, node ast.Node) []acquireCall {
-	var out []acquireCall
+// acquireCalls finds acquire calls in node, excluding nested function
+// literals (analyzed separately) but including the body argument of the
+// enclosing body's defer/go statements.
+func (pp *poolPairChecker) acquireCalls(node ast.Node) []*ast.CallExpr {
+	var out []*ast.CallExpr
 	ast.Inspect(node, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit {
 			return false
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if kind, what, ok := pp.isAcquire(call); ok {
-			out = append(out, acquireCall{call: call, kind: kind, what: what})
+		if call, ok := n.(*ast.CallExpr); ok && acquiresPooled(pp.pass.Prog, calleeOf(pp.pass.Info, call)) {
+			out = append(out, call)
 		}
 		return true
 	})
 	return out
 }
 
-// isAcquire classifies a call as a pool acquisition.
-func (pp *poolPairChecker) isAcquire(call *ast.CallExpr) (kind, what string, ok bool) {
-	obj := calleeOf(pp.pass.Info, call)
-	if obj == nil {
-		return "", "", false
-	}
-	switch {
-	case isFunc(obj, "cool/internal/cdr", "AcquireEncoder"):
-		return kindEncoder, "cdr.AcquireEncoder", true
-	case isFunc(obj, "cool/internal/giop", "AcquireMessage"):
-		return kindMessage, "giop.AcquireMessage", true
-	case isFunc(obj, "cool/internal/giop", "UnmarshalPooled"):
-		return kindMessage, "giop.UnmarshalPooled", true
-	case isFunc(obj, "cool/internal/bufpool", "Get"):
-		return kindBuffer, "bufpool.Get", true
-	case isMethod(obj, "", "UnmarshalPooled"):
-		return kindMessage, "UnmarshalPooled", true
-	}
-	// Same-package helpers annotated //coollint:acquires <kind>.
-	if decl, okd := pp.decls[obj]; okd {
-		if v, oka := funcAnnotation(decl, "acquires"); oka {
-			switch v {
-			case kindEncoder, kindMessage, kindBuffer:
-				return v, obj.Name(), true
-			}
-		}
-	}
-	// Any analyzed function whose interprocedural summary says it returns
-	// ownership of a pool object — annotated or not, same package or not.
-	if sum := pp.pass.Prog.summaryOf(obj); sum != nil && sum.acquires != "" {
-		return sum.acquires, obj.Name(), true
-	}
-	return "", "", false
-}
-
 // bindAcquisition resolves which variable an acquire call's result binds
 // to, reporting immediately-diagnosable shapes (discarded result).
-func (pp *poolPairChecker) bindAcquisition(file *ast.File, at atom, ac acquireCall, blk *cfgBlock, atomIdx int) *acquisition {
-	if ownerAnnotated(pp.pass.Fset, file, ac.call.Pos()) {
+func (pp *poolPairChecker) bindAcquisition(file *ast.File, at atom, call *ast.CallExpr, blk *cfgBlock, atomIdx int) *acquisition {
+	if ownerAnnotated(pp.pass.Fset, file, call.Pos()) {
 		return nil // declared intentional escape
 	}
 	info := pp.pass.Info
+	what := exprText(call.Fun)
 
 	var lhs []ast.Expr
 	var rhs []ast.Expr
@@ -262,7 +203,7 @@ func (pp *poolPairChecker) bindAcquisition(file *ast.File, at atom, ac acquireCa
 				}
 				contains := false
 				for _, v := range vs.Values {
-					if containsNode(v, ac.call) {
+					if containsNode(v, call) {
 						contains = true
 					}
 				}
@@ -275,23 +216,22 @@ func (pp *poolPairChecker) bindAcquisition(file *ast.File, at atom, ac acquireCa
 			}
 		}
 	case *ast.ExprStmt:
-		if ast.Unparen(s.X) == ac.call {
-			pp.reportOnce(ac.call.Pos(), "result of %s is discarded; the pooled %s leaks", ac.what, ac.kind)
+		if ast.Unparen(s.X) == call {
+			pp.reportOnce(call.Pos(), "result of %s is discarded; the pooled object leaks", what)
 			return nil
 		}
 	}
 	if lhs == nil {
 		// The acquire call feeds another expression directly (argument,
-		// composite literal, return value): ownership passes with the value
-		// for messages and buffers; an encoder handed away like this cannot
-		// be released here either, so treat all kinds as transferred.
+		// composite literal, return value): no variable holds the object
+		// here to release, so ownership passes with the value.
 		return nil
 	}
 	// Locate the value position of the call among the RHS to pick the LHS.
 	idx := 0
 	if len(rhs) == len(lhs) {
 		for i, v := range rhs {
-			if containsNode(v, ac.call) {
+			if containsNode(v, call) {
 				idx = i
 			}
 		}
@@ -303,11 +243,11 @@ func (pp *poolPairChecker) bindAcquisition(file *ast.File, at atom, ac acquireCa
 	if !ok {
 		// Acquired straight into a field or element: escaping storage needs
 		// an owner annotation.
-		pp.reportOnce(ac.call.Pos(), "result of %s is stored into %s without //coollint:owner", ac.what, exprText(lhs[idx]))
+		pp.reportOnce(call.Pos(), "result of %s is stored into %s without //coollint:owner", what, exprText(lhs[idx]))
 		return nil
 	}
 	if id.Name == "_" {
-		pp.reportOnce(ac.call.Pos(), "result of %s is discarded; the pooled %s leaks", ac.what, ac.kind)
+		pp.reportOnce(call.Pos(), "result of %s is discarded; the pooled object leaks", what)
 		return nil
 	}
 	obj := objOf(info, id)
@@ -315,10 +255,9 @@ func (pp *poolPairChecker) bindAcquisition(file *ast.File, at atom, ac acquireCa
 		return nil
 	}
 	acq := &acquisition{
-		kind:    ac.kind,
 		obj:     obj,
-		pos:     ac.call.Pos(),
-		what:    ac.what,
+		pos:     call.Pos(),
+		what:    what,
 		block:   blk,
 		atomIdx: atomIdx,
 	}
@@ -408,15 +347,8 @@ func (pp *poolPairChecker) flow(g *cfg, acq *acquisition) {
 		if state == 0 {
 			continue
 		}
-		if blk == g.exit {
-			if state&stOwned != 0 {
-				pp.reportOnce(acq.pos, "result of %s is not released on every path (missing %s)", acq.what, releaseName[acq.kind])
-			}
-			continue
-		}
-		if len(blk.succs) == 0 && blk != g.exit {
-			continue // dying path (panic / Fatal): ownership checks lapse
-		}
+		// A block without successors is a dying path (panic / Fatal):
+		// ownership checks lapse. The exit block is never queued.
 		for _, e := range blk.succs {
 			s := pp.filterEdge(e, state, acq)
 			if s == 0 {
@@ -424,7 +356,7 @@ func (pp *poolPairChecker) flow(g *cfg, acq *acquisition) {
 			}
 			if e.to == g.exit {
 				if s&stOwned != 0 {
-					pp.reportOnce(acq.pos, "result of %s is not released on every path (missing %s)", acq.what, releaseName[acq.kind])
+					pp.leak(acq)
 				}
 				continue
 			}
@@ -462,13 +394,20 @@ func (pp *poolPairChecker) filterEdge(e cfgEdge, state uint8, acq *acquisition) 
 	return state
 }
 
+// leak reports an acquisition still owned where it can no longer be
+// released.
+func (pp *poolPairChecker) leak(acq *acquisition) {
+	pp.reportOnce(acq.pos, "result of %s is not released on every path", acq.what)
+}
+
 // transfer applies one atom to the tracked state.
 func (pp *poolPairChecker) transfer(at atom, state uint8, acq *acquisition) uint8 {
-	node := atomNode(at)
+	node := ownAtomNode(at)
 	if node == nil {
 		return state
 	}
-	if !usesObject(pp.pass.Info, node, acq.obj) {
+	info := pp.pass.Info
+	if !usesObject(info, node, acq.obj) {
 		return state
 	}
 
@@ -476,17 +415,19 @@ func (pp *poolPairChecker) transfer(at atom, state uint8, acq *acquisition) uint
 	if ds, ok := at.stmt.(*ast.DeferStmt); ok {
 		deferred = true
 		// A deferred closure that releases the object counts as a deferred
-		// release of the whole function.
+		// release of the whole function. Approximation: a release anywhere
+		// in its body counts.
 		if lit, ok := ds.Call.Fun.(*ast.FuncLit); ok {
-			if pp.bodyReleases(lit.Body, acq) {
+			if eff, _ := callEffectIn(pp.pass.Prog, info, lit.Body, acq.obj); eff == effRelease {
 				return (state &^ (stOwned | stAbsent)) | stDeferred
 			}
 		}
 	}
 
-	if relPos, ok := pp.releaseIn(node, acq); ok {
+	eff, pos := callEffectIn(pp.pass.Prog, info, node, acq.obj)
+	if eff == effRelease {
 		if state&(stReleased|stDeferred) != 0 {
-			pp.reportOnce(relPos, "%s released again; the pooled %s was already released on some path", acq.obj.Name(), acq.kind)
+			pp.reportOnce(pos, "%s released again; the pooled object was already released on some path", acq.obj.Name())
 		}
 		if deferred {
 			return (state &^ (stOwned | stAbsent)) | stDeferred
@@ -494,36 +435,47 @@ func (pp *poolPairChecker) transfer(at atom, state uint8, acq *acquisition) uint
 		return (state &^ (stOwned | stAbsent)) | stReleased
 	}
 
+	if rebinds(info, at, acq.obj) {
+		// The variable now holds another value (`p = wrapBorrowed(f)` on
+		// the next loop turn): this acquisition is no longer tracked.
+		return 0
+	}
+
 	// Any other mention of a fully-released object is a use after release.
 	if state == stReleased {
-		pp.reportOnce(node.Pos(), "%s used after the pooled %s was released", acq.obj.Name(), acq.kind)
+		pp.reportOnce(node.Pos(), "%s used after the pooled object was released", acq.obj.Name())
 		return stEscaped // report once, then stop tracking the path
 	}
 
+	if eff == effTransfer {
+		return (state &^ (stOwned | stAbsent)) | stEscaped
+	}
 	return pp.escape(at, node, state, acq)
 }
 
-// escape classifies non-release mentions: ownership transfers (return,
-// send, call argument for value-owning kinds) clear the release
-// obligation; stores into escaping storage require an owner annotation.
+// escape classifies mentions that are not calls: returns, sends, stores
+// and closure captures transfer ownership out; stores into escaping
+// storage require an owner annotation.
 func (pp *poolPairChecker) escape(at atom, node ast.Node, state uint8, acq *acquisition) uint8 {
 	info := pp.pass.Info
 	toEscaped := func() uint8 { return (state &^ (stOwned | stAbsent)) | stEscaped }
 
 	switch s := at.stmt.(type) {
 	case *ast.ReturnStmt:
-		return toEscaped()
+		for _, r := range s.Results {
+			if carries(info, r, acq.obj) {
+				return toEscaped()
+			}
+		}
+		return state
 	case *ast.SendStmt:
-		if usesObject(info, s.Value, acq.obj) {
+		if carries(info, s.Value, acq.obj) {
 			return toEscaped()
 		}
 		return state
 	case *ast.AssignStmt:
 		// Does the RHS carry the object into an escaping lvalue?
 		for i, r := range s.Rhs {
-			if !usesObject(info, r, acq.obj) {
-				continue
-			}
 			switch appendClassOf(info, r, acq.obj) {
 			case appendContent:
 				continue // append copies the bytes; the object stays put
@@ -534,6 +486,9 @@ func (pp *poolPairChecker) escape(at atom, node ast.Node, state uint8, acq *acqu
 				// obligation; no //coollint:owner is needed.
 				return toEscaped()
 			}
+			if !carries(info, r, acq.obj) {
+				continue
+			}
 			var l ast.Expr
 			if len(s.Lhs) == len(s.Rhs) {
 				l = s.Lhs[i]
@@ -543,21 +498,16 @@ func (pp *poolPairChecker) escape(at atom, node ast.Node, state uint8, acq *acqu
 			if l == nil {
 				continue
 			}
-			if rootsAt(info, l, acq.obj) != nil {
+			if id := rootIdent(l); id != nil && objOf(info, id) == acq.obj {
 				continue // store into a field of the object itself
 			}
 			if pp.escapingLValue(l) {
-				pp.reportOnce(s.Pos(), "pooled %s %s is stored into %s without //coollint:owner", acq.kind, acq.obj.Name(), exprText(l))
-				return toEscaped()
+				pp.reportOnce(s.Pos(), "pooled object %s is stored into %s without //coollint:owner", acq.obj.Name(), exprText(l))
 			}
-			// Local alias: hand tracking over to avoid false reports.
+			// A local alias: hand tracking over to avoid false reports.
 			return toEscaped()
 		}
 		return state
-	}
-
-	if at.kind == atomReturn {
-		return toEscaped()
 	}
 
 	// Closure capture transfers the object out of this analysis scope.
@@ -574,31 +524,54 @@ func (pp *poolPairChecker) escape(at atom, node ast.Node, state uint8, acq *acqu
 	if captured {
 		return toEscaped()
 	}
+	return state
+}
 
-	// Calls: messages and buffers pass ownership with the value; encoders
-	// are only lent and stay owned.
-	if acq.kind != kindEncoder {
-		passed := false
-		ast.Inspect(node, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
+// carries reports whether e evaluates to obj itself: obj, a reslice of
+// it, its address, or a composite literal holding one of those. A value
+// read through a pointer or slice (a field, len(obj), a call's result) is
+// not obj.
+func carries(info *types.Info, e ast.Expr, obj types.Object) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		for _, el := range x.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if carries(info, el, obj) {
 				return true
 			}
-			for _, a := range call.Args {
-				if usesObject(info, a, acq.obj) {
-					passed = true
-				}
-			}
-			return true
-		})
-		if passed {
-			return toEscaped()
+		}
+		return false
+	case *ast.UnaryExpr:
+		return x.Op == token.AND && carries(info, x.X, obj)
+	case *ast.SelectorExpr:
+		// A struct value (coolproto's writer) is a handle: its pooled
+		// content is the buffer or pointer it holds.
+		_, isStruct := obj.Type().Underlying().(*types.Struct)
+		return isStruct && isObjExpr(info, x.X, obj) && aliasKinded(typeOf(info, x))
+	}
+	return isObjExpr(info, e, obj)
+}
+
+// rebinds reports whether the atom assigns obj's variable a value that
+// does not derive from obj.
+func rebinds(info *types.Info, at atom, obj types.Object) bool {
+	as, ok := at.stmt.(*ast.AssignStmt)
+	if !ok {
+		return false
+	}
+	for _, r := range as.Rhs {
+		if usesObject(info, r, obj) {
+			return false
 		}
 	}
-	return state
+	for _, l := range as.Lhs {
+		if id, ok := l.(*ast.Ident); ok && objOf(info, id) == obj {
+			return true
+		}
+	}
+	return false
 }
 
 // escapingLValue reports whether storing into l escapes the function:
@@ -672,138 +645,4 @@ func aliasKinded(t types.Type) bool {
 		return true
 	}
 	return false
-}
-
-// rootsAt returns l's root identifier's object when it matches obj.
-func rootsAt(info *types.Info, l ast.Expr, obj types.Object) types.Object {
-	if id := rootIdent(l); id != nil && objOf(info, id) == obj {
-		return obj
-	}
-	return nil
-}
-
-// releaseIn looks for a call in node (outside nested function literals)
-// that releases the tracked object, returning the call position.
-func (pp *poolPairChecker) releaseIn(node ast.Node, acq *acquisition) (token.Pos, bool) {
-	var pos token.Pos
-	found := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if pp.isReleaseOf(call, acq) {
-			pos = call.Pos()
-			found = true
-			return false
-		}
-		return true
-	})
-	return pos, found
-}
-
-// bodyReleases reports whether a (deferred closure) body releases the
-// tracked object on its fall-through spine. Approximation: any release
-// call anywhere in the body counts.
-func (pp *poolPairChecker) bodyReleases(body *ast.BlockStmt, acq *acquisition) bool {
-	_, ok := pp.releaseIn(body, acq)
-	return ok
-}
-
-// isReleaseOf reports whether call releases the acquisition's object.
-func (pp *poolPairChecker) isReleaseOf(call *ast.CallExpr, acq *acquisition) bool {
-	info := pp.pass.Info
-	callee := calleeOf(info, call)
-	if callee == nil {
-		return false
-	}
-
-	argIsObj := func() bool {
-		for _, a := range call.Args {
-			if rootsAt(info, a, acq.obj) != nil {
-				return true
-			}
-		}
-		return false
-	}
-
-	switch acq.kind {
-	case kindEncoder:
-		if isFunc(callee, "cool/internal/cdr", "ReleaseEncoder") && argIsObj() {
-			return true
-		}
-		// e.Detach() recycles the encoder shell; ownership of the bytes
-		// moves to the caller of Detach.
-		if isMethod(callee, "cool/internal/cdr", "Detach") {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if rootsAt(info, sel.X, acq.obj) != nil {
-					return true
-				}
-			}
-		}
-	case kindMessage:
-		if isFunc(callee, "cool/internal/giop", "ReleaseMessage") && argIsObj() {
-			return true
-		}
-		if isMethod(callee, "", "ReleaseMessage") && argIsObj() {
-			return true
-		}
-	case kindBuffer:
-		if (isFunc(callee, "cool/internal/bufpool", "Put") ||
-			isFunc(callee, "cool/internal/transport", "PutBuffer") ||
-			isFunc(callee, "cool/internal/giop", "ReleaseFrame")) && argIsObj() {
-			return true
-		}
-	}
-
-	// Same-package helpers annotated //coollint:releases free whatever
-	// tracked object they are handed — as an argument or as the receiver.
-	if decl, ok := pp.decls[callee]; ok {
-		if _, ok := funcAnnotation(decl, "releases"); ok {
-			if argIsObj() {
-				return true
-			}
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && rootsAt(info, sel.X, acq.obj) != nil {
-				return true
-			}
-		}
-	}
-
-	// Release through an un-annotated helper (any analyzed package): the
-	// interprocedural summary records which parameter it frees and of what
-	// kind. The call-site argument index is mapped to the callee's
-	// receiver-first parameter index.
-	if sum := pp.pass.Prog.summaryOf(callee); sum != nil {
-		recvOffset := 0
-		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-			recvOffset = 1
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && rootsAt(info, sel.X, acq.obj) != nil {
-				if len(sum.releasesParam) > 0 && releaseKindMatches(sum.releasesParam[0], acq.kind) {
-					return true
-				}
-			}
-		}
-		for i, a := range call.Args {
-			if rootsAt(info, a, acq.obj) == nil {
-				continue
-			}
-			idx := i + recvOffset
-			if idx < len(sum.releasesParam) && releaseKindMatches(sum.releasesParam[idx], acq.kind) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// releaseKindMatches reports whether a summary's released kind frees an
-// acquisition of kind acq ("any" comes from //coollint:releases).
-func releaseKindMatches(released, acq string) bool {
-	return released == acq || released == "any"
 }

@@ -74,3 +74,49 @@ func useAfterHandoff(s *sendQueue) byte {
 	s.enqueue(b)
 	return b[0] // want "used after"
 }
+
+// --- typed pools through helpers ---
+
+// frame is a typed pool object that owns a buffer from the arena.
+type frame struct {
+	b []byte
+}
+
+var framePool = bufpool.NewPool(func(f *frame) { *f = frame{} })
+
+func getFrame() *frame {
+	f := framePool.Get()
+	f.b = bufpool.Get(64) //coollint:owner the frame keeps its buffer
+	return f
+}
+
+func putFrame(f *frame) {
+	bufpool.Put(f.b)
+	framePool.Put(f)
+}
+
+// regrow releases the frame's old buffer, not the frame: a field reached
+// through the parameter is another object (cdr's Encoder.grow shape).
+func (f *frame) regrow(n int) {
+	nb := bufpool.Get(n) //coollint:owner becomes the frame's buffer below
+	nb = append(nb, f.b...)
+	bufpool.Put(f.b)
+	f.b = nb
+}
+
+func regrowIsNoRelease() {
+	f := getFrame() // want "result of getFrame is not released on every path"
+	f.regrow(128)
+}
+
+func frameReleased() {
+	f := getFrame()
+	f.regrow(128)
+	putFrame(f)
+}
+
+func frameUsedAfterPut() int {
+	f := getFrame()
+	putFrame(f)
+	return len(f.b) // want "used after"
+}

@@ -4,6 +4,8 @@
 package poolpair
 
 import (
+	"errors"
+
 	"cool/internal/bufpool"
 	"cool/internal/cdr"
 	"cool/internal/giop"
@@ -12,9 +14,19 @@ import (
 type holder struct {
 	raw []byte
 	enc *cdr.Encoder
+	req *request
 }
 
-var sink []byte
+// request is a typed pool object: bufpool.Pool[T] Get/Put are acquire and
+// release entry points like bufpool.Get/Put.
+type request struct {
+	id   uint32
+	body []byte
+}
+
+var reqPool = bufpool.NewPool(func(r *request) { *r = request{} })
+
+var errBadID = errors.New("bad id")
 
 // --- violations ---
 
@@ -53,7 +65,7 @@ func storeTrackedIntoField(h *holder) {
 	h.raw = b            // want "stored into h.raw without //coollint:owner"
 }
 
-//coollint:acquires buffer
+//coollint:acquires
 func makeScratch() []byte { return bufpool.Get(256) }
 
 func annotatedAcquireLeak(bad bool) {
@@ -74,6 +86,56 @@ func messageLeakDespiteGuard(frame []byte) error {
 	}
 	giop.ReleaseMessage(m)
 	return nil
+}
+
+func requestLeakOnErrorPath(id uint32) error {
+	r := reqPool.Get() // want "result of reqPool.Get is not released on every path"
+	r.id = id
+	if id == 0 {
+		return errBadID // leaks r
+	}
+	reqPool.Put(r)
+	return nil
+}
+
+func requestDoublePut() {
+	r := reqPool.Get()
+	reqPool.Put(r)
+	reqPool.Put(r) // want "released again"
+}
+
+func requestUseAfterPut() uint32 {
+	r := reqPool.Get()
+	reqPool.Put(r)
+	return r.id // want "used after"
+}
+
+func requestStoredIntoField(h *holder) {
+	r := reqPool.Get()
+	h.req = r // want "stored into h.req without //coollint:owner"
+}
+
+// A call to an analyzed helper that neither releases nor queues the
+// object only lends it: the caller still owes the release.
+func encoderLentThenLeaked() int {
+	e := cdr.AcquireEncoder(false) // want "not released on every path"
+	writeID(e, 7)
+	return e.Len()
+}
+
+func bufferLentThenLeaked(frame []byte) byte {
+	b := bufpool.Get(len(frame)) // want "not released on every path"
+	b = append(b, frame...)
+	return checksum(b)
+}
+
+func writeID(e *cdr.Encoder, id uint32) { e.WriteULong(id) }
+
+func checksum(b []byte) (sum byte) {
+	for _, c := range b {
+		sum ^= c
+	}
+	return sum
 }
 
 // --- clean shapes ---
@@ -118,13 +180,29 @@ func ownerAnnotatedStore(h *holder) {
 	h.raw = bufpool.Get(64) //coollint:owner the holder adopts the buffer
 }
 
-func ownershipPassedOn(frame []byte) {
+// A callee without a summary (a func value, an interface method, code
+// outside the module) takes the object.
+func ownershipPassedOn(frame []byte, consume func([]byte)) {
 	b := bufpool.Get(len(frame))
 	copy(b, frame)
-	consume(b) // buffers pass ownership with the value
+	consume(b)
 }
 
-func consume(b []byte) { sink = b }
+func lentThenReleased() {
+	e := cdr.AcquireEncoder(false)
+	writeID(e, 9)
+	cdr.ReleaseEncoder(e)
+}
+
+func requestReleased(id uint32) error {
+	r := reqPool.Get()
+	defer reqPool.Put(r)
+	if id == 0 {
+		return errBadID
+	}
+	r.id = id
+	return nil
+}
 
 //coollint:releases
 func recycleScratch(b []byte) { bufpool.Put(b) }
@@ -169,6 +247,40 @@ func enqueueMessage(rb *replyBatch, frame []byte) error {
 	}
 	rb.msgs = append(rb.msgs, m)
 	return nil
+}
+
+// The loop variable is rebound on every turn, on one branch to an
+// object acquired here and on the other to one wrapped around a borrowed
+// frame (dacapo's SendBatch): each binding is its own acquisition, and
+// the queue takes both.
+func sendBatch(q *requestQueue, frames [][]byte, copyFrames bool) {
+	for _, f := range frames {
+		var r *request
+		if copyFrames {
+			r = copiedRequest(f)
+		} else {
+			r = borrowedRequest(f)
+		}
+		q.push(r)
+	}
+}
+
+type requestQueue struct {
+	out []*request
+}
+
+func (q *requestQueue) push(r *request) { q.out = append(q.out, r) }
+
+func copiedRequest(f []byte) *request {
+	r := reqPool.Get()
+	r.body = append(r.body, f...)
+	return r
+}
+
+func borrowedRequest(f []byte) *request {
+	r := reqPool.Get()
+	r.body = f
+	return r
 }
 
 // Spread-append only copies the bytes out: the source buffer stays

@@ -123,7 +123,7 @@ func (r *reader) rest() []byte { return r.buf[r.pos:] }
 // transport.PutBuffer once written; error paths must hand the buffer back
 // through discard instead.
 //
-//coollint:acquires buffer
+//coollint:acquires
 func start(version byte, t giop.MsgType) writer {
 	w := writer{buf: bufpool.Get(64)}
 	w.buf = append(w.buf, magic[:]...)

@@ -68,7 +68,7 @@ func (m *irq) Blocking() {}
 
 func (m *irq) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 	putArqHdr(p.Prepend(arqHdrLen), arqData, m.sendSeq)
-	m.outstanding = p.Clone()
+	m.outstanding = p.Clone() //coollint:owner kept for retransmission until its ACK (HandleUp) or Stop releases it
 	m.awaiting = true
 	m.retries = 0
 	ctx.PauseDown() // stop-and-wait: nothing else until the ACK
@@ -218,7 +218,7 @@ func (m *window) Blocking() {}
 func (m *window) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
 	seq := m.next
 	putArqHdr(p.Prepend(arqHdrLen), arqData, seq)
-	m.buf[seq] = p.Clone()
+	m.buf[seq] = p.Clone() //coollint:owner kept for retransmission until handleAck or Stop releases it
 	m.next++
 	if m.next-m.base >= m.size {
 		ctx.PauseDown()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -85,6 +86,23 @@ func TestGIOPComparisonShape(t *testing.T) {
 	// Same order of magnitude: p50 within 3x either way.
 	if cmp.QoS.P50 > cmp.Plain.P50*3 || cmp.Plain.P50 > cmp.QoS.P50*3 {
 		t.Errorf("p50 diverges: plain %v vs qos %v", cmp.Plain.P50, cmp.QoS.P50)
+	}
+}
+
+// TestGIOPOrderAlternatesBlocks pins E2's sampling order: equal sample
+// counts, taken in alternating blocks, the last pair of blocks short.
+func TestGIOPOrderAlternatesBlocks(t *testing.T) {
+	var want []int
+	for _, run := range []struct{ v, k int }{{0, 10}, {1, 10}, {0, 10}, {1, 10}, {0, 5}, {1, 5}} {
+		for range run.k {
+			want = append(want, run.v)
+		}
+	}
+	if got := giopOrder(25, 10); !slices.Equal(got, want) {
+		t.Fatalf("giopOrder(25, 10) = %v\nwant %v", got, want)
+	}
+	if got := giopOrder(0, 10); len(got) != 0 {
+		t.Fatalf("giopOrder(0, 10) = %v, want none", got)
 	}
 }
 
