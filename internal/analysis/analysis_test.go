@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -153,6 +155,63 @@ func TestLoaderModuleWide(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("Load ./... missing %s", want)
 		}
+	}
+}
+
+// TestCFGAtomsDisjoint pins the CFG atom rule on every function body of
+// the module: no two atoms of one graph cover overlapping source, so no
+// dataflow applies one statement's effects twice or at the wrong block.
+func TestCFGAtomsDisjoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("module-wide load is slow")
+	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err != nil {
+		t.Fatalf("Load ./...: %v", err)
+	}
+	bodies := 0
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var body *ast.BlockStmt
+				switch fn := n.(type) {
+				case *ast.FuncDecl:
+					body = fn.Body
+				case *ast.FuncLit:
+					body = fn.Body
+				}
+				if body == nil {
+					return true
+				}
+				g, ok := buildCFG(body)
+				if !ok {
+					return true
+				}
+				bodies++
+				var spans []ast.Node
+				for _, blk := range g.blocks {
+					for _, at := range blk.atoms {
+						if node := atomNode(at); node != nil {
+							spans = append(spans, node)
+						}
+					}
+				}
+				sort.Slice(spans, func(i, j int) bool { return spans[i].Pos() < spans[j].Pos() })
+				for i := 1; i < len(spans); i++ {
+					if prev := spans[i-1]; spans[i].Pos() < prev.End() {
+						t.Errorf("%s: atom overlaps the atom at %s", p.Fset.Position(spans[i].Pos()), p.Fset.Position(prev.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if bodies < 1000 {
+		t.Fatalf("checked %d function bodies; the module has more", bodies)
 	}
 }
 

@@ -5,31 +5,43 @@ import (
 	"go/token"
 )
 
-// The analyzers that need path sensitivity (poolpair, lockhold) run a
-// forward dataflow over a statement-level control-flow graph. Blocks hold
-// "atoms": simple statements and the condition expressions of control
+// The path-sensitive checks run forward dataflows over a statement-level
+// control-flow graph, all through one solver, solve: lockhold (the
+// instance lock set), the lock-order collector and lockFreshness in
+// lockfacts.go (class lock sets, may-held and must-released), and
+// poolpair (the ownership of one acquisition). Blocks hold "atoms":
+// simple statements and the condition expressions of control
 // statements. Control structure lives purely in the edges.
-
-// atomKind classifies what a CFG atom represents.
-type atomKind uint8
-
-const (
-	atomStmt   atomKind = iota // a simple statement, Stmt is set
-	atomExpr                   // a control-statement condition, Expr is set
-	atomSelect                 // a select statement header, Sel is set
-	atomReturn                 // a return statement, Stmt is *ast.ReturnStmt
-)
+//
+// The atom rule: no two atoms of a graph share syntax, and atomNode is
+// the syntax an atom covers. A range statement's ranged expression is an
+// atom of its own before the loop (it is evaluated once), and its loop
+// head is a header atom that stands for the per-iteration receive. Header
+// atoms of select and range statements cover no syntax: their clauses
+// and bodies are atoms of their own.
 
 // atom is one CFG node payload.
 type atom struct {
-	kind atomKind
 	stmt ast.Stmt
 	expr ast.Expr
-	sel  *ast.SelectStmt
+	// hdr, for a header atom, is the *ast.SelectStmt or *ast.RangeStmt
+	// it stands for.
+	hdr ast.Stmt
 	// comm marks statements that are the communication clause of a select
 	// (their channel operation blocks as part of the select, not on its
 	// own).
 	comm bool
+}
+
+// atomNode returns the syntax an atom covers: nil for a header atom.
+func atomNode(at atom) ast.Node {
+	switch {
+	case at.stmt != nil:
+		return at.stmt
+	case at.expr != nil:
+		return at.expr
+	}
+	return nil
 }
 
 // cfgEdge is one control-flow edge. Edges leaving an if-condition carry
@@ -59,6 +71,94 @@ type cfg struct {
 	// ok is false when the body uses constructs the builder does not
 	// model (goto); analyses should then skip the function.
 	ok bool
+}
+
+// maxFlowVisits bounds every dataflow: a body whose fixpoint needs more
+// block visits than this is left half-solved rather than stalling the
+// lint.
+const maxFlowVisits = 4096
+
+// flowProblem is one forward dataflow over a cfg with per-block states
+// of type S.
+type flowProblem[S any] struct {
+	init S
+	// transfer applies one atom to s, which it may update in place. ok
+	// false ends the path: no feasible continuation.
+	transfer func(at atom, s S) (out S, ok bool)
+	// join merges s into old, the recorded entry state of a block, and
+	// reports whether the entry state changed.
+	join func(old, s S) (S, bool)
+	// copy makes a state the solver can hand to transfer without
+	// aliasing a recorded one; nil for value states.
+	copy func(S) S
+
+	// Optional. The flow starts at atom startAt of block start (default:
+	// the top of the entry block). edge refines the state across one
+	// edge, ok false dropping it. exit sees each state that reaches the
+	// exit block, which is never queued.
+	start   *cfgBlock
+	startAt int
+	edge    func(e cfgEdge, s S) (S, bool)
+	exit    func(s S)
+}
+
+// solve runs p to its fixpoint over g (or to maxFlowVisits); the
+// problem's callbacks carry whatever it reports.
+func solve[S any](g *cfg, p flowProblem[S]) {
+	cp := func(s S) S {
+		if p.copy == nil {
+			return s
+		}
+		return p.copy(s)
+	}
+	type workItem struct {
+		blk  *cfgBlock
+		from int
+		s    S
+	}
+	start := p.start
+	if start == nil {
+		start = g.entry
+	}
+	entry := make(map[*cfgBlock]S)
+	work := []workItem{{blk: start, from: p.startAt, s: p.init}}
+	for visits := 0; len(work) > 0 && visits < maxFlowVisits; visits++ {
+		item := work[len(work)-1]
+		work = work[:len(work)-1]
+		s, ok := cp(item.s), true
+		for i := item.from; ok && i < len(item.blk.atoms); i++ {
+			s, ok = p.transfer(item.blk.atoms[i], s)
+		}
+		if !ok {
+			continue
+		}
+		for _, e := range item.blk.succs {
+			out := s
+			if p.edge != nil {
+				if out, ok = p.edge(e, s); !ok {
+					continue
+				}
+			}
+			if e.to == g.exit {
+				if p.exit != nil {
+					p.exit(out)
+				}
+				continue
+			}
+			// A queued state is copied when it is taken off the list, so
+			// only the recorded entry states must not alias it.
+			old, seen := entry[e.to]
+			if !seen {
+				entry[e.to] = cp(out)
+				work = append(work, workItem{blk: e.to, s: out})
+				continue
+			}
+			if merged, changed := p.join(old, out); changed {
+				entry[e.to] = merged
+				work = append(work, workItem{blk: e.to, s: cp(merged)})
+			}
+		}
+	}
 }
 
 // cfgBuilder carries loop/label context during construction.
@@ -150,9 +250,9 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 
 	case *ast.IfStmt:
 		if s.Init != nil {
-			cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s.Init})
+			cur.atoms = append(cur.atoms, atom{stmt: s.Init})
 		}
-		cur.atoms = append(cur.atoms, atom{kind: atomExpr, expr: s.Cond})
+		cur.atoms = append(cur.atoms, atom{expr: s.Cond})
 		thenBlk := b.newBlock()
 		b.linkCond(cur, thenBlk, s.Cond, true)
 		thenEnd := b.stmts(thenBlk, s.Body.List, "")
@@ -170,12 +270,12 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 
 	case *ast.ForStmt:
 		if s.Init != nil {
-			cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s.Init})
+			cur.atoms = append(cur.atoms, atom{stmt: s.Init})
 		}
 		head := b.newBlock()
 		b.link(cur, head)
 		if s.Cond != nil {
-			head.atoms = append(head.atoms, atom{kind: atomExpr, expr: s.Cond})
+			head.atoms = append(head.atoms, atom{expr: s.Cond})
 		}
 		after := b.newBlock()
 		body := b.newBlock()
@@ -185,7 +285,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 		}
 		post := b.newBlock()
 		if s.Post != nil {
-			post.atoms = append(post.atoms, atom{kind: atomStmt, stmt: s.Post})
+			post.atoms = append(post.atoms, atom{stmt: s.Post})
 		}
 		b.pushLoop(label, after, post)
 		bodyEnd := b.stmts(body, s.Body.List, "")
@@ -195,11 +295,10 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 		return after
 
 	case *ast.RangeStmt:
+		cur.atoms = append(cur.atoms, atom{expr: s.X})
 		head := b.newBlock()
 		b.link(cur, head)
-		// Model the per-iteration bindings as an atom so analyzers see the
-		// key/value assignment.
-		head.atoms = append(head.atoms, atom{kind: atomStmt, stmt: s})
+		head.atoms = append(head.atoms, atom{hdr: s})
 		after := b.newBlock()
 		body := b.newBlock()
 		b.link(head, body)
@@ -212,22 +311,22 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 
 	case *ast.SwitchStmt:
 		if s.Init != nil {
-			cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s.Init})
+			cur.atoms = append(cur.atoms, atom{stmt: s.Init})
 		}
 		if s.Tag != nil {
-			cur.atoms = append(cur.atoms, atom{kind: atomExpr, expr: s.Tag})
+			cur.atoms = append(cur.atoms, atom{expr: s.Tag})
 		}
 		return b.switchBody(cur, s.Body, label, nil)
 
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
-			cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s.Init})
+			cur.atoms = append(cur.atoms, atom{stmt: s.Init})
 		}
-		cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s.Assign})
+		cur.atoms = append(cur.atoms, atom{stmt: s.Assign})
 		return b.switchBody(cur, s.Body, label, nil)
 
 	case *ast.SelectStmt:
-		cur.atoms = append(cur.atoms, atom{kind: atomSelect, sel: s})
+		cur.atoms = append(cur.atoms, atom{hdr: s})
 		after := b.newBlock()
 		any := false
 		b.pushLoop(label, after, nil) // select supports (labeled) break
@@ -239,7 +338,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 			clause := b.newBlock()
 			b.link(cur, clause)
 			if cc.Comm != nil {
-				clause.atoms = append(clause.atoms, atom{kind: atomStmt, stmt: cc.Comm, comm: true})
+				clause.atoms = append(clause.atoms, atom{stmt: cc.Comm, comm: true})
 			}
 			end := b.stmts(clause, cc.Body, "")
 			b.link(end, after)
@@ -252,7 +351,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 		return after
 
 	case *ast.ReturnStmt:
-		cur.atoms = append(cur.atoms, atom{kind: atomReturn, stmt: s})
+		cur.atoms = append(cur.atoms, atom{stmt: s})
 		b.link(cur, b.g.exit)
 		return nil
 
@@ -281,7 +380,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 		}
 
 	case *ast.ExprStmt:
-		cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s})
+		cur.atoms = append(cur.atoms, atom{stmt: s})
 		if isTerminalCall(s.X) {
 			// Dying paths (panic, os.Exit, t.Fatal) terminate without
 			// reaching the exit block: ownership checks do not apply there.
@@ -292,7 +391,7 @@ func (b *cfgBuilder) stmt(cur *cfgBlock, s ast.Stmt, label string) *cfgBlock {
 	default:
 		// Simple statements: assignments, declarations, sends, inc/dec,
 		// defer, go, empty.
-		cur.atoms = append(cur.atoms, atom{kind: atomStmt, stmt: s})
+		cur.atoms = append(cur.atoms, atom{stmt: s})
 		return cur
 	}
 }
@@ -318,7 +417,7 @@ func (b *cfgBuilder) switchBody(cur *cfgBlock, body *ast.BlockStmt, label string
 		clause := b.newBlock()
 		b.link(cur, clause)
 		for _, e := range cc.List {
-			clause.atoms = append(clause.atoms, atom{kind: atomExpr, expr: e})
+			clause.atoms = append(clause.atoms, atom{expr: e})
 		}
 		layouts = append(layouts, clauseLayout{start: clause, cc: cc})
 	}

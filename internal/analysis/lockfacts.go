@@ -47,8 +47,8 @@ func (s lockKeySet) equal(o lockKeySet) bool {
 	return true
 }
 
-// union adds o's entries, reporting growth.
-func (s lockKeySet) union(o lockKeySet) bool {
+// union adds o's entries to s, reporting growth: the join of a MAY set.
+func (s lockKeySet) union(o lockKeySet) (lockKeySet, bool) {
 	grew := false
 	for k, v := range o {
 		if _, ok := s[k]; !ok {
@@ -56,11 +56,12 @@ func (s lockKeySet) union(o lockKeySet) bool {
 			grew = true
 		}
 	}
-	return grew
+	return s, grew
 }
 
-// intersect removes entries absent from o, reporting shrinkage.
-func (s lockKeySet) intersect(o lockKeySet) bool {
+// intersect removes the entries of s absent from o, reporting shrinkage:
+// the join of a MUST set.
+func (s lockKeySet) intersect(o lockKeySet) (lockKeySet, bool) {
 	shrunk := false
 	for k := range s {
 		if _, ok := o[k]; !ok {
@@ -68,7 +69,17 @@ func (s lockKeySet) intersect(o lockKeySet) bool {
 			shrunk = true
 		}
 	}
-	return shrunk
+	return s, shrunk
+}
+
+// apply updates a held set for one mutex operation.
+func (s lockKeySet) apply(op mutexOp, key, disp string) {
+	switch op {
+	case acquireOp:
+		s[key] = disp
+	case releaseOp:
+		delete(s, key)
+	}
 }
 
 // displays renders the held set for diagnostics: sorted display names
@@ -145,6 +156,72 @@ func mutexMethodOf(info *types.Info, call *ast.CallExpr) (name string, recv ast.
 	return sel.Sel.Name, sel.X, true
 }
 
+// mutexOp is what lockCalls makes of a call.
+type mutexOp uint8
+
+const (
+	otherCall mutexOp = iota // not a mutex operation
+	acquireOp                // Lock or RLock
+	releaseOp                // Unlock or RUnlock
+)
+
+// lockKeyFunc names the lock a mutex receiver expression denotes: an
+// instance for lockhold, a class (lockClassOf) for the lock-order facts.
+// ok false leaves the receiver untracked.
+type lockKeyFunc func(info *types.Info, recv ast.Expr) (key, disp string, ok bool)
+
+// lockCalls calls f for each call the atom makes on the calling
+// goroutine, with the mutex operation it performs on the lock key names.
+// A mutex method yields no value, so a direct Lock or Unlock is the call
+// of an expression statement: f sees it last, after the calls of its
+// receiver. Deferred ones run at return, not here, and are skipped, as are
+// mutex calls on untracked receivers.
+func lockCalls(info *types.Info, at atom, key lockKeyFunc, f func(call *ast.CallExpr, op mutexOp, key, disp string)) {
+	inspectSync(atomNode(at), func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if _, _, isMu := mutexMethodOf(info, call); !isMu {
+				f(call, otherCall, "", "")
+			}
+		}
+	})
+	es, ok := at.stmt.(*ast.ExprStmt)
+	if !ok {
+		return
+	}
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	if !ok {
+		return
+	}
+	name, recv, isMu := mutexMethodOf(info, call)
+	if !isMu {
+		return
+	}
+	if k, disp, tracked := key(info, recv); tracked {
+		op := releaseOp
+		if name == "Lock" || name == "RLock" {
+			op = acquireOp
+		}
+		f(call, op, k, disp)
+	}
+}
+
+// inspectSync calls f on n and every node beneath it that runs on the
+// calling goroutine when n does: it enters neither function literals
+// (bodies of their own) nor go statements.
+func inspectSync(n ast.Node, f func(ast.Node)) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.FuncLit, *ast.GoStmt:
+			return false
+		}
+		f(n)
+		return true
+	})
+}
+
 // lockEdge is one "to acquired while from is held" observation, the raw
 // material of the lock-ordering graph.
 type lockEdge struct {
@@ -192,73 +269,34 @@ func (c *funcFactsCollector) run() {
 		// Unmodelled control flow (goto): no lock context, so no edges.
 		return
 	}
-	entry := make(map[*cfgBlock]lockKeySet)
-	type workItem struct {
-		blk  *cfgBlock
-		held lockKeySet
-	}
-	work := []workItem{{blk: g.entry, held: lockKeySet{}}}
-	for rounds := 0; len(work) > 0 && rounds < 4096; rounds++ {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		held := item.held.clone()
-		for _, at := range item.blk.atoms {
-			c.transfer(at, held)
-		}
-		for _, e := range item.blk.succs {
-			old, seen := entry[e.to]
-			if !seen {
-				entry[e.to] = held.clone()
-				work = append(work, workItem{blk: e.to, held: held.clone()})
-				continue
-			}
-			if old.union(held) {
-				work = append(work, workItem{blk: e.to, held: old.clone()})
-			}
-		}
-	}
-}
-
-// transfer records the lock-order edges of one atom against the incoming
-// held set, then applies the atom's Lock/Unlock calls to the set.
-func (c *funcFactsCollector) transfer(at atom, held lockKeySet) {
-	node := atomNode(at)
-	// Select headers carry no calls of their own (the comm statements are
-	// separate atoms), and range atoms embed a body the CFG lays out
-	// separately.
-	if node == nil || at.kind == atomSelect {
-		return
-	}
-	if _, isRange := node.(*ast.RangeStmt); isRange {
-		return
-	}
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit, *ast.GoStmt:
-			// Runs elsewhere, with none of these locks held.
-			return false
-		case *ast.CallExpr:
-			c.recordCall(x, at.stmt, held)
-		}
-		return true
+	solve(g, flowProblem[lockKeySet]{
+		init:     lockKeySet{},
+		transfer: c.transfer,
+		join:     lockKeySet.union,
+		copy:     lockKeySet.clone,
 	})
-	c.applyLockOps(node, at.stmt, held)
 }
 
-// recordCall derives the lock-order edges of one call: a direct Lock or
-// RLock orders its class after every held class, and a module-internal
-// callee orders every class its summary may acquire.
-func (c *funcFactsCollector) recordCall(call *ast.CallExpr, stmt ast.Stmt, held lockKeySet) {
-	if name, recv, ok := mutexMethodOf(c.info, call); ok {
-		if name == "Lock" || name == "RLock" {
-			if key, disp, classed := lockClassOf(c.info, recv); classed && !inDefer(stmt, call) {
-				for from, fromDisp := range held {
-					c.edge(lockEdge{from: from, fromDisp: fromDisp, to: key, toDisp: disp, pos: call.Pos()})
-				}
+// transfer records the lock-order edges of one atom's calls and applies
+// its Lock/Unlock calls to the held set.
+func (c *funcFactsCollector) transfer(at atom, held lockKeySet) (lockKeySet, bool) {
+	lockCalls(c.info, at, lockClassOf, func(call *ast.CallExpr, op mutexOp, key, disp string) {
+		switch op {
+		case acquireOp:
+			for from, fromDisp := range held {
+				c.edge(lockEdge{from: from, fromDisp: fromDisp, to: key, toDisp: disp, pos: call.Pos()})
 			}
+		case otherCall:
+			c.recordCall(call, held)
 		}
-		return
-	}
+		held.apply(op, key, disp)
+	})
+	return held, true
+}
+
+// recordCall orders every class a module-internal callee's summary may
+// acquire after every held class.
+func (c *funcFactsCollector) recordCall(call *ast.CallExpr, held lockKeySet) {
 	fn, ok := calleeOf(c.info, call).(*types.Func)
 	if !ok {
 		return
@@ -282,34 +320,6 @@ func (c *funcFactsCollector) recordCall(call *ast.CallExpr, stmt ast.Stmt, held 
 	}
 }
 
-// applyLockOps updates the held set for the mutex calls in the atom.
-func (c *funcFactsCollector) applyLockOps(node ast.Node, stmt ast.Stmt, held lockKeySet) {
-	ast.Inspect(node, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name, recv, ok := mutexMethodOf(c.info, call)
-		if !ok || inDefer(stmt, call) {
-			return true
-		}
-		key, disp, classed := lockClassOf(c.info, recv)
-		if !classed {
-			return true
-		}
-		switch name {
-		case "Lock", "RLock":
-			held[key] = disp
-		case "Unlock", "RUnlock":
-			delete(held, key)
-		}
-		return true
-	})
-}
-
 func (c *funcFactsCollector) edge(e lockEdge) {
 	key := e.from + "|" + e.to + "|" + c.prog.fset.Position(e.pos).String()
 	if c.edges[key] {
@@ -329,20 +339,6 @@ func (c *funcFactsCollector) edge(e lockEdge) {
 func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 	info := pf.pkg.Info
 
-	// Comm statements of selects: the select header is the blocking unit,
-	// not the individual operations.
-	comm := make(map[ast.Node]bool)
-	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, cl := range sel.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
-					comm[cc.Comm] = true
-				}
-			}
-		}
-		return true
-	})
-
 	setBlock := func(pos token.Pos, desc string) {
 		if s.blocks || prog.allowedAt(pf.pkg, pos, "lockhold") {
 			return
@@ -351,34 +347,15 @@ func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 		s.blockDesc = desc + " in " + pf.obj.Name()
 	}
 
+	var comm ast.Node // the comm statement of the select clause entered last
 	ast.Inspect(pf.decl.Body, func(n ast.Node) bool {
-		if n != nil && comm[n] {
-			return false
-		}
 		switch x := n.(type) {
 		case *ast.GoStmt:
 			// Spawned payloads block on their own goroutine.
 			return false
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, cl := range x.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				setBlock(x.Pos(), "select")
-			}
-		case *ast.SendStmt:
-			setBlock(x.Pos(), "channel send")
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				setBlock(x.Pos(), "channel receive")
-			}
-		case *ast.RangeStmt:
-			if isChanType(info, x.X) {
-				setBlock(x.Pos(), "range over channel")
-			}
+		case *ast.CommClause:
+			// The select is the blocking unit, not its comm statement.
+			comm = x.Comm
 		case *ast.CallExpr:
 			if name, recv, ok := mutexMethodOf(info, x); ok {
 				if name == "Lock" || name == "RLock" {
@@ -388,9 +365,12 @@ func lockSummarize(prog *Program, pf *progFunc, s *Summary) {
 				}
 				return true
 			}
-			if callee := calleeOf(info, x); callee != nil && isMethod(callee, "sync", "Wait") {
-				setBlock(x.Pos(), "sync Wait")
-			}
+		}
+		if n == comm {
+			return false
+		}
+		if desc := blockingOp(info, n); desc != "" {
+			setBlock(n.Pos(), desc)
 		}
 		return true
 	})
@@ -425,78 +405,39 @@ func lockFreshness(prog *Program, pf *progFunc, s *Summary) {
 		return
 	}
 	info := pf.pkg.Info
-	process := func(node ast.Node, stmt ast.Stmt, released lockKeySet) {
-		ast.Inspect(node, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncLit, *ast.GoStmt:
-				return false
-			case *ast.CallExpr:
-				if name, recv, isMu := mutexMethodOf(info, x); isMu {
-					key, disp, classed := lockClassOf(info, recv)
-					if !classed || inDefer(stmt, x) {
-						return true
+	solve(g, flowProblem[lockKeySet]{
+		init: lockKeySet{},
+		transfer: func(at atom, released lockKeySet) (lockKeySet, bool) {
+			lockCalls(info, at, lockClassOf, func(call *ast.CallExpr, op mutexOp, key, disp string) {
+				switch op {
+				case acquireOp:
+					if _, rel := released[key]; !rel {
+						s.freshLocks[key] = disp
 					}
-					switch name {
-					case "Lock", "RLock":
-						if _, rel := released[key]; !rel {
-							s.freshLocks[key] = disp
+					delete(released, key)
+				case releaseOp:
+					released[key] = disp
+				case otherCall:
+					fn, _ := calleeOf(info, call).(*types.Func)
+					cs := prog.sums[fn]
+					if cs == nil {
+						return
+					}
+					for l, d := range cs.locks {
+						if _, rel := released[l]; rel {
+							continue
 						}
-						delete(released, key)
-					case "Unlock", "RUnlock":
-						released[key] = disp
-					}
-					return true
-				}
-				if fn, okF := calleeOf(info, x).(*types.Func); okF {
-					if cs := prog.sums[fn]; cs != nil {
-						for l, d := range cs.locks {
-							if _, rel := released[l]; rel {
-								continue
-							}
-							if _, fresh := cs.freshLocks[l]; fresh {
-								s.freshLocks[l] = d
-							}
+						if _, fresh := cs.freshLocks[l]; fresh {
+							s.freshLocks[l] = d
 						}
 					}
 				}
-			}
-			return true
-		})
-	}
-
-	entry := make(map[*cfgBlock]lockKeySet)
-	type workItem struct {
-		blk   *cfgBlock
-		state lockKeySet
-	}
-	work := []workItem{{blk: g.entry, state: lockKeySet{}}}
-	for rounds := 0; len(work) > 0 && rounds < 4096; rounds++ {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		state := item.state.clone()
-		for _, at := range item.blk.atoms {
-			if at.kind == atomSelect {
-				continue
-			}
-			if node := atomNode(at); node != nil {
-				if _, isRange := node.(*ast.RangeStmt); isRange {
-					continue
-				}
-				process(node, at.stmt, state)
-			}
-		}
-		for _, e := range item.blk.succs {
-			old, seen := entry[e.to]
-			if !seen {
-				entry[e.to] = state.clone()
-				work = append(work, workItem{blk: e.to, state: state.clone()})
-				continue
-			}
-			if old.intersect(state) {
-				work = append(work, workItem{blk: e.to, state: old.clone()})
-			}
-		}
-	}
+			})
+			return released, true
+		},
+		join: lockKeySet.intersect,
+		copy: lockKeySet.clone,
+	})
 }
 
 // syncCallees returns the module-internal functions called from pf's body

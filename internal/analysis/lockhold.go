@@ -8,12 +8,12 @@ import (
 
 // LockHold flags potentially blocking operations performed while a
 // sync.Mutex or sync.RWMutex is held: channel sends and receives, selects
-// without a default clause, sync.WaitGroup.Wait / sync.Cond.Wait, and —
-// through the interprocedural summaries — calls to module-internal
-// helpers that themselves block. A goroutine parked on a channel while
-// holding an ORB-internal lock stalls every other invocation that needs
-// the lock — the deadlock class the zero-allocation hot path is most
-// exposed to.
+// without a default clause, ranges over a channel, sync.WaitGroup.Wait /
+// sync.Cond.Wait, and — through the interprocedural summaries — calls to
+// module-internal helpers that themselves block. A goroutine parked on a
+// channel while holding an ORB-internal lock stalls every other
+// invocation that needs the lock — the deadlock class the zero-allocation
+// hot path is most exposed to.
 //
 // The analysis runs a lock-set dataflow over each function body: Lock and
 // RLock calls add the receiver to the held set, Unlock and RUnlock remove
@@ -55,168 +55,103 @@ func (lh *lockHoldChecker) checkBody(body *ast.BlockStmt) {
 		return
 	}
 	lh.reported = make(map[reportKey]bool)
-
-	entry := make(map[*cfgBlock]lockKeySet)
-	type workItem struct {
-		blk   *cfgBlock
-		state lockKeySet
-	}
-	work := []workItem{{blk: g.entry, state: lockKeySet{}}}
-
-	for len(work) > 0 {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		state := item.state.clone()
-		for _, at := range item.blk.atoms {
-			state = lh.transfer(at, state)
-		}
-		for _, e := range item.blk.succs {
-			old, ok := entry[e.to]
-			if !ok {
-				entry[e.to] = state.clone()
-				work = append(work, workItem{blk: e.to, state: state.clone()})
-				continue
-			}
-			if old.union(state) {
-				work = append(work, workItem{blk: e.to, state: old.clone()})
-			}
-		}
-	}
+	solve(g, flowProblem[lockKeySet]{
+		init:     lockKeySet{},
+		transfer: lh.transfer,
+		join:     lockKeySet.union,
+		copy:     lockKeySet.clone,
+	})
 }
 
-// transfer applies one atom: update the lock set for Lock/Unlock calls and
-// report blocking operations while the set is non-empty.
-func (lh *lockHoldChecker) transfer(at atom, state lockKeySet) lockKeySet {
-	// Select headers carry no stmt/expr payload; check them directly.
-	if at.kind == atomSelect {
-		if len(state) > 0 {
-			lh.checkBlocking(at, at.sel, state)
+// transfer applies one atom: report blocking operations while the lock
+// set is non-empty, then update it for the atom's Lock/Unlock calls
+// (deferred unlocks run at return: the lock stays held for the rest of
+// the function, which is the point). A blocking operation in an atom that
+// also unlocks reports against the lock set on entry.
+func (lh *lockHoldChecker) transfer(at atom, held lockKeySet) (lockKeySet, bool) {
+	// Communication clauses of a select block as part of the select
+	// header, which is an atom of its own.
+	if len(held) > 0 && !at.comm {
+		lh.checkBlocking(at, held)
+	}
+	lockCalls(lh.pass.Info, at, lockInstanceOf, func(_ *ast.CallExpr, op mutexOp, key, disp string) {
+		held.apply(op, key, disp)
+	})
+	return held, true
+}
+
+// lockInstanceOf renders a stable identity and a display form for a
+// mutex receiver expression: the key is package-qualified for cross-file
+// stability, the display is the source expression ("c.mu").
+func lockInstanceOf(info *types.Info, e ast.Expr) (key, disp string, ok bool) {
+	disp = exprText(e)
+	if id := rootIdent(e); id != nil {
+		if obj := objOf(info, id); obj != nil && obj.Pkg() != nil {
+			return obj.Pkg().Path() + "." + disp, disp, true
 		}
-		return state
 	}
-	node := atomNode(at)
-	if node == nil {
-		return state
-	}
+	return disp, disp, true
+}
 
-	// Blocking checks first: a blocking operation in an atom that also
-	// unlocks reports against the lock set on entry.
-	if len(state) > 0 {
-		lh.checkBlocking(at, node, state)
-	}
-
-	// Lock-set updates (skip nested function literals: separate analysis).
-	ast.Inspect(node, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+// checkBlocking reports the blocking operations of an atom while held is
+// non-empty: the ones blockingOp classifies and calls to module-internal
+// helpers whose summary shows one.
+func (lh *lockHoldChecker) checkBlocking(at atom, held lockKeySet) {
+	info := lh.pass.Info
+	visit := func(n ast.Node) {
+		if desc := blockingOp(info, n); desc != "" {
+			lh.reportOnce(n.Pos(), "%s may block while %s", desc, held.displays())
+			return
 		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return
 		}
-		name, recv, ok := mutexMethodOf(lh.pass.Info, call)
-		if !ok {
-			return true
-		}
-		key, disp := lh.recvKey(recv)
-		switch name {
-		case "Lock", "RLock":
-			// A deferred Lock would be nonsense; only count direct calls.
-			if !inDefer(at.stmt, call) {
-				state[key] = disp
-			}
-		case "Unlock", "RUnlock":
-			// Deferred unlocks run at return: the lock stays held for the
-			// rest of the function, so leave the set alone.
-			if !inDefer(at.stmt, call) {
-				delete(state, key)
-			}
-		}
-		return true
-	})
-	return state
-}
-
-// inDefer reports whether stmt is a defer statement wrapping call (either
-// directly or via a closure).
-func inDefer(stmt ast.Stmt, call *ast.CallExpr) bool {
-	ds, ok := stmt.(*ast.DeferStmt)
-	if !ok {
-		return false
-	}
-	if ds.Call == call {
-		return true
-	}
-	return containsNode(ds.Call, call)
-}
-
-// recvKey renders a stable identity and a display form for a mutex
-// receiver expression: the key is package-qualified for cross-file
-// stability, the display is the source expression ("c.mu").
-func (lh *lockHoldChecker) recvKey(e ast.Expr) (key, disp string) {
-	disp = exprText(e)
-	if id := rootIdent(e); id != nil {
-		if obj := objOf(lh.pass.Info, id); obj != nil && obj.Pkg() != nil {
-			return obj.Pkg().Path() + "." + disp, disp
-		}
-	}
-	return disp, disp
-}
-
-// checkBlocking reports blocking operations in an atom while locks are
-// held.
-func (lh *lockHoldChecker) checkBlocking(at atom, node ast.Node, state lockKeySet) {
-	held := state.displays()
-
-	// Select headers: blocking only without a default clause.
-	if at.kind == atomSelect {
-		hasDefault := false
-		for _, c := range at.sel.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			lh.reportOnce(at.sel.Pos(), "select without default may block while %s", held)
-		}
-		return
-	}
-	// Communication clauses of a select block as part of the select header,
-	// already handled above.
-	if at.comm {
-		return
-	}
-
-	ast.Inspect(node, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			lh.reportOnce(x.Pos(), "channel send may block while %s", held)
-			return true
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				lh.reportOnce(x.Pos(), "channel receive may block while %s", held)
-			}
-			return true
-		case *ast.CallExpr:
-			callee := calleeOf(lh.pass.Info, x)
-			if callee == nil {
-				return true
-			}
-			if fn, ok := callee.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" && fn.Name() == "Wait" {
-				lh.reportOnce(x.Pos(), "sync %s.Wait may block while %s", recvTypeName(fn), held)
-				return true
-			}
-			// Interprocedural: a module-internal callee whose summary shows
-			// a blocking operation blocks this goroutine just the same.
+		// Interprocedural: a module-internal callee whose summary shows
+		// a blocking operation blocks this goroutine just the same.
+		if callee := calleeOf(info, call); callee != nil {
 			if sum := lh.pass.Prog.summaryOf(callee); sum != nil && sum.blocks {
-				lh.reportOnce(x.Pos(), "call to %s may block (%s) while %s", callee.Name(), sum.blockDesc, held)
+				lh.reportOnce(call.Pos(), "call to %s may block (%s) while %s", callee.Name(), sum.blockDesc, held.displays())
 			}
-			return true
 		}
-		return true
-	})
+	}
+	if at.hdr != nil {
+		visit(at.hdr)
+		return
+	}
+	inspectSync(atomNode(at), visit)
+}
+
+// blockingOp names what n is when it is an operation that can park the
+// calling goroutine indefinitely — a channel send or receive, a select
+// without default, a range over a channel, a sync Wait — and returns ""
+// otherwise. It looks at n alone: each caller decides which syntax runs
+// on the goroutine it checks.
+func blockingOp(info *types.Info, n ast.Node) string {
+	switch x := n.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			return "channel receive"
+		}
+	case *ast.SelectStmt:
+		for _, c := range x.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return ""
+			}
+		}
+		return "select without default"
+	case *ast.RangeStmt:
+		if isChanType(info, x.X) {
+			return "range over channel"
+		}
+	case *ast.CallExpr:
+		if fn, ok := calleeOf(info, x).(*types.Func); ok && isMethod(fn, "sync", "Wait") {
+			return "sync " + recvTypeName(fn) + ".Wait"
+		}
+	}
+	return ""
 }
 
 func recvTypeName(fn *types.Func) string {

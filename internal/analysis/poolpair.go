@@ -124,7 +124,7 @@ func (pp *poolPairChecker) findAcquisitions(file *ast.File, g *cfg) []*acquisiti
 	var acqs []*acquisition
 	for _, blk := range g.blocks {
 		for i, at := range blk.atoms {
-			node := ownAtomNode(at)
+			node := atomNode(at)
 			if node == nil {
 				continue
 			}
@@ -137,30 +137,6 @@ func (pp *poolPairChecker) findAcquisitions(file *ast.File, g *cfg) []*acquisiti
 		}
 	}
 	return acqs
-}
-
-// atomNode returns the syntax a CFG atom covers.
-func atomNode(at atom) ast.Node {
-	switch {
-	case at.stmt != nil:
-		return at.stmt
-	case at.expr != nil:
-		return at.expr
-	case at.sel != nil:
-		// Only the communication clauses (separate atoms) matter.
-		return nil
-	}
-	return nil
-}
-
-// ownAtomNode is atomNode without the body of a range statement, whose
-// statements are atoms of their own: the range atom evaluates only the
-// ranged expression.
-func ownAtomNode(at atom) ast.Node {
-	if rs, ok := at.stmt.(*ast.RangeStmt); ok {
-		return rs.X
-	}
-	return atomNode(at)
 }
 
 // acquireCalls finds acquire calls in node, excluding nested function
@@ -303,66 +279,38 @@ func exprText(e ast.Expr) string {
 	return "expression"
 }
 
-// flow runs the per-acquisition forward dataflow and reports leaks,
-// double releases, and uses after release.
+// flow runs the per-acquisition forward dataflow from just after the
+// acquiring atom and reports leaks, double releases, and uses after
+// release. A block without successors is a dying path (panic / Fatal):
+// ownership checks lapse there.
 func (pp *poolPairChecker) flow(g *cfg, acq *acquisition) {
 	initial := stOwned
 	if acq.errObj != nil {
 		initial |= stAbsent
 	}
-	entry := make(map[*cfgBlock]uint8)
-
-	type workItem struct {
-		blk     *cfgBlock
-		fromIdx int
-		state   uint8
-	}
-	work := []workItem{{blk: acq.block, fromIdx: acq.atomIdx + 1, state: initial}}
-
-	propagate := func(blk *cfgBlock, state uint8, w *[]workItem) {
-		old := entry[blk]
-		merged := old | state
-		if merged == old {
-			return
-		}
-		entry[blk] = merged
-		*w = append(*w, workItem{blk: blk, fromIdx: 0, state: merged})
-	}
-
-	for len(work) > 0 {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		state := item.state
-		blk := item.blk
-		for i := item.fromIdx; i < len(blk.atoms); i++ {
-			if blk == acq.block && i == acq.atomIdx {
-				state = initial // loop re-entry re-acquires
-				continue
+	acqNode := atomNode(acq.block.atoms[acq.atomIdx])
+	solve(g, flowProblem[uint8]{
+		init:    initial,
+		start:   acq.block,
+		startAt: acq.atomIdx + 1,
+		transfer: func(at atom, state uint8) (uint8, bool) {
+			if atomNode(at) == acqNode {
+				return initial, true // loop re-entry re-acquires
 			}
-			state = pp.transfer(blk.atoms[i], state, acq)
-			if state == 0 {
-				break // no feasible continuation
+			state = pp.transfer(at, state, acq)
+			return state, state != 0
+		},
+		join: func(old, state uint8) (uint8, bool) { return old | state, old|state != old },
+		edge: func(e cfgEdge, state uint8) (uint8, bool) {
+			state = pp.filterEdge(e, state, acq)
+			return state, state != 0
+		},
+		exit: func(state uint8) {
+			if state&stOwned != 0 {
+				pp.reportOnce(acq.pos, "result of %s is not released on every path", acq.what)
 			}
-		}
-		if state == 0 {
-			continue
-		}
-		// A block without successors is a dying path (panic / Fatal):
-		// ownership checks lapse. The exit block is never queued.
-		for _, e := range blk.succs {
-			s := pp.filterEdge(e, state, acq)
-			if s == 0 {
-				continue
-			}
-			if e.to == g.exit {
-				if s&stOwned != 0 {
-					pp.leak(acq)
-				}
-				continue
-			}
-			propagate(e.to, s, &work)
-		}
-	}
+		},
+	})
 }
 
 // filterEdge refines the state across a labeled if-edge by correlating
@@ -394,15 +342,9 @@ func (pp *poolPairChecker) filterEdge(e cfgEdge, state uint8, acq *acquisition) 
 	return state
 }
 
-// leak reports an acquisition still owned where it can no longer be
-// released.
-func (pp *poolPairChecker) leak(acq *acquisition) {
-	pp.reportOnce(acq.pos, "result of %s is not released on every path", acq.what)
-}
-
 // transfer applies one atom to the tracked state.
 func (pp *poolPairChecker) transfer(at atom, state uint8, acq *acquisition) uint8 {
-	node := ownAtomNode(at)
+	node := atomNode(at)
 	if node == nil {
 		return state
 	}

@@ -62,6 +62,41 @@ func callsBlockingHelperUnderLock(b *box) int {
 	return v
 }
 
+// --- range loops: the loop head covers the ranged expression and the
+// per-iteration receive, never the body ---
+
+func sendAfterRangeWithEarlyUnlock(b *box, xs []int) {
+	b.mu.Lock()
+	for _, v := range xs {
+		if v == 0 {
+			b.mu.Unlock()
+			return
+		}
+	}
+	b.ch <- 1 // want "channel send may block while b.mu is held"
+	b.mu.Unlock()
+}
+
+func sendAfterCountedLoopWithEarlyUnlock(b *box, xs []int) {
+	b.mu.Lock()
+	for i := 0; i < len(xs); i++ {
+		if xs[i] == 0 {
+			b.mu.Unlock()
+			return
+		}
+	}
+	b.ch <- 1 // want "channel send may block while b.mu is held"
+	b.mu.Unlock()
+}
+
+func rangeOverChannelWhileLocked(b *box) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for v := range b.ch { // want "range over channel may block while b.mu is held"
+		b.v += v
+	}
+}
+
 // --- //coollint:allow scopes ---
 
 func allowTrailing(b *box) {
@@ -114,6 +149,16 @@ func lockInBranchUnlockedBeforeSend(b *box, cond bool) {
 		b.mu.Unlock()
 	}
 	b.ch <- 1
+}
+
+func sendInRangeBodyBetweenUnlockAndLock(b *box, xs []int) {
+	b.mu.Lock()
+	for _, v := range xs {
+		b.mu.Unlock()
+		b.ch <- v
+		b.mu.Lock()
+	}
+	b.mu.Unlock()
 }
 
 func closureHasOwnScope(b *box) {

@@ -56,6 +56,39 @@ func dThenC(s *station) {
 	s.d.Unlock()
 }
 
+// --- violations: one leg of the cycle is the ranged expression of a
+// loop ---
+
+type ledger struct {
+	e  sync.Mutex
+	f  sync.Mutex
+	xs []int
+	n  int
+}
+
+// snapshotF copies the entries under f.
+func (s *ledger) snapshotF() []int {
+	s.f.Lock()
+	defer s.f.Unlock()
+	return append([]int(nil), s.xs...)
+}
+
+func (s *ledger) sumUnderE() {
+	s.e.Lock()
+	for _, v := range s.snapshotF() { // want "lock-order cycle: ledger.f acquired while ledger.e is held via call to snapshotF"
+		s.n += v
+	}
+	s.e.Unlock()
+}
+
+func (s *ledger) fThenE() {
+	s.f.Lock()
+	s.e.Lock() // want "lock-order cycle: ledger.e acquired while ledger.f is held"
+	s.n++
+	s.e.Unlock()
+	s.f.Unlock()
+}
+
 // --- violations: re-entrant acquisition through a helper ---
 
 type recur struct {

@@ -77,11 +77,15 @@ func (w *frameWriter) send(frame []byte) error {
 
 // flush is the combiner loop: repeatedly swap out the queued batch, write
 // it, recycle the frames, and go idle once the queue stays empty. Entered
-// holding w.mu with w.writing set; returns unlocked.
+// holding w.mu with w.writing set and the caller's frame queued; returns
+// unlocked. It reports the fate of the caller's frame, which rides in the
+// first batch: once that batch is written, a later failure belongs to the
+// frames of later batches and surfaces through onErr or the teardown that
+// poisoned the writer.
 //
 //coollint:hotpath combiner drain; every outbound frame crosses it
 func (w *frameWriter) flush() error {
-	for {
+	for written := false; ; written = true {
 		if w.err != nil {
 			// fail() poisoned the writer while a batch was in flight; the
 			// combiner owns the drop of anything queued since.
@@ -91,6 +95,9 @@ func (w *frameWriter) flush() error {
 			w.goIdleLocked()
 			w.mu.Unlock()
 			releaseFrames(drop)
+			if written {
+				return nil
+			}
 			return err
 		}
 		if len(w.q) == 0 {
@@ -130,6 +137,9 @@ func (w *frameWriter) flush() error {
 			releaseFrames(drop)
 			if fire && w.onErr != nil {
 				w.onErr(err)
+			}
+			if written {
+				return nil
 			}
 			return err
 		}

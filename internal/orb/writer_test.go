@@ -180,6 +180,41 @@ func TestFrameWriterTeardownMidFlushLeaksNothing(t *testing.T) {
 	}
 }
 
+// TestFrameWriterCombinerReportsOwnFrame pins what send returns to the
+// combiner: the fate of its own frame, which rides in the first batch. A
+// teardown while the combiner drains later frames must not surface as a
+// failed send of a frame already written: a client would abandon a request
+// whose reply is on its way.
+func TestFrameWriterCombinerReportsOwnFrame(t *testing.T) {
+	gate := make(chan struct{})
+	ch := &stubChannel{gate: gate, inWrite: make(chan struct{})}
+	w := newFrameWriter(ch, nil, nil, nil)
+
+	first := make(chan error, 1)
+	go func() { first <- w.send(poolFrame(8)) }()
+	<-ch.inWrite // the combiner's own frame is on the wire
+
+	// Hold the combiner's next batch on the wire as well, then queue a
+	// frame for it.
+	gate2, inWrite2 := make(chan struct{}), make(chan struct{})
+	ch.mu.Lock()
+	ch.gate, ch.inWrite = gate2, inWrite2
+	ch.mu.Unlock()
+	if err := w.send(poolFrame(8)); err != nil {
+		t.Fatalf("queued send: %v", err)
+	}
+	close(gate)
+	<-inWrite2
+	w.fail(errors.New("torn down"))
+	close(gate2)
+	if err := <-first; err != nil {
+		t.Fatalf("combiner send = %v after its frame was written, want nil", err)
+	}
+	if err := w.send(poolFrame(8)); err == nil {
+		t.Fatal("send after fail = nil, want the sticky error")
+	}
+}
+
 // TestFrameWriterWriteErrorPoisonsAndDrops pins the failure path: the first
 // write error fires onErr exactly once, queued frames are dropped, and
 // later sends observe the sticky error.
