@@ -89,6 +89,16 @@ type Blocker interface {
 	Blocking()
 }
 
+// RoundEnder is optionally implemented by a Blocker. A pump works in
+// rounds: it runs a batch and the batches already queued behind it (or
+// its spilled packets, or one event), then flushes what they emitted.
+// EndRound runs once per round, before that flush, so a module can emit
+// one packet for the whole round: window sends one cumulative ACK instead
+// of one per data packet.
+type RoundEnder interface {
+	EndRound(ctx *Context) error
+}
+
 // BaseModule provides no-op implementations of the optional Module methods;
 // embed it to implement only what a mechanism needs.
 type BaseModule struct{}
@@ -127,8 +137,8 @@ type Context struct {
 	// read and written only on the module's pump goroutine.
 	downPaused bool
 
-	// batchHist, when instrumented, observes the size of packet batches
-	// handed to this module's pump.
+	// batchHist, when instrumented, observes the packets of each round of
+	// this module's pump.
 	batchHist batchObserver
 
 	// stats are written by the executing goroutine and snapshotted by

@@ -165,6 +165,15 @@ func sendAck(ctx *dacapo.Context, seq uint32) error {
 // window is the sliding-window go-back-N ARQ mechanism: up to `window`
 // packets outstanding, cumulative ACKs, full-window retransmission on
 // timeout. It keeps the pipe full where irq idles it.
+//
+// Per packet it neither allocates nor sends an ACK. Its one retransmission
+// timer runs while packets are outstanding and stops when the last is
+// acknowledged: an ACK that advances the window only records when progress
+// happened, and a firing timer that finds progress since it was armed
+// re-arms for the rest of the timeout. The receiver acknowledges once per
+// pump round (EndRound): one cumulative ACK for the round's in-order
+// packets, or a re-ACK of the last in-order packet if the round held only
+// out-of-order ones.
 type window struct {
 	dacapo.BaseModule
 
@@ -176,14 +185,16 @@ type window struct {
 	base, next uint32
 	buf        map[uint32]*dacapo.Packet
 	retries    int
-	timerGen   int
-	cancel     func()
+	since      time.Time   // the timeout counts from here: last progress or (re)send
+	timer      *time.Timer // posts winTimeout; made on first send, then reset
 
 	// receiver state
 	recvNext uint32
+	ackDue   bool // the current round received DATA
 }
 
-type winTimeout struct{ gen int }
+// winTimeout is the event of window's one timer.
+type winTimeout struct{}
 
 func newWindow(args dacapo.Args) (dacapo.Module, error) {
 	rto, err := args.Duration("rto", 100*time.Millisecond)
@@ -216,15 +227,22 @@ func (m *window) Name() string { return "window" }
 func (m *window) Blocking() {}
 
 func (m *window) HandleDown(ctx *dacapo.Context, p *dacapo.Packet) error {
+	if m.base == m.next {
+		// The timer is made once and reset after that: arming allocates
+		// nothing once the window has sent its first packet.
+		m.since = time.Now()
+		if d := backoff(m.rto, m.retries); m.timer == nil {
+			m.timer = time.AfterFunc(d, func() { ctx.Post(winTimeout{}) })
+		} else {
+			m.timer.Reset(d)
+		}
+	}
 	seq := m.next
 	putArqHdr(p.Prepend(arqHdrLen), arqData, seq)
 	m.buf[seq] = p.Clone() //coollint:owner kept for retransmission until handleAck or Stop releases it
 	m.next++
 	if m.next-m.base >= m.size {
 		ctx.PauseDown()
-	}
-	if m.cancel == nil {
-		m.startTimer(ctx)
 	}
 	return ctx.EmitDown(p)
 }
@@ -245,26 +263,30 @@ func (m *window) HandleUp(ctx *dacapo.Context, p *dacapo.Packet) error {
 		ctx.Drop(p)
 		return nil
 	case arqData:
+		m.ackDue = true
 		if seq == m.recvNext {
 			m.recvNext++
-			if err := sendAck(ctx, seq); err != nil {
-				return err
-			}
 			return ctx.EmitUp(p)
 		}
-		// Out of order (go-back-N receiver has no buffer): discard and
-		// re-acknowledge the last in-order packet so the sender backs up.
-		if m.recvNext > 0 {
-			if err := sendAck(ctx, m.recvNext-1); err != nil {
-				return err
-			}
-		}
+		// Out of order (go-back-N receiver has no buffer): discard; the
+		// round's ACK re-acknowledges the last in-order packet so the
+		// sender backs up.
 		ctx.Drop(p)
 		return nil
 	default:
 		ctx.Drop(p)
 		return nil
 	}
+}
+
+// EndRound sends the round's one ACK, for the last in-order packet.
+func (m *window) EndRound(ctx *dacapo.Context) error {
+	due := m.ackDue && m.recvNext > 0
+	m.ackDue = false
+	if !due {
+		return nil
+	}
+	return sendAck(ctx, m.recvNext-1)
 }
 
 // handleAck processes a cumulative acknowledgement of every seq <= ack.
@@ -280,10 +302,9 @@ func (m *window) handleAck(ctx *dacapo.Context, ack uint32) {
 	}
 	m.base = ack + 1
 	m.retries = 0
+	m.since = time.Now()
 	if m.base == m.next {
-		m.stopTimer()
-	} else {
-		m.startTimer(ctx)
+		m.timer.Stop()
 	}
 	if m.next-m.base < m.size {
 		ctx.ResumeDown()
@@ -291,9 +312,12 @@ func (m *window) handleAck(ctx *dacapo.Context, ack uint32) {
 }
 
 func (m *window) HandleEvent(ctx *dacapo.Context, ev any) error {
-	to, ok := ev.(winTimeout)
-	if !ok || to.gen != m.timerGen || m.base == m.next {
-		return nil // stale timer or nothing outstanding
+	if _, ok := ev.(winTimeout); !ok || m.base == m.next {
+		return nil // nothing outstanding: it fired as the last ACK arrived
+	}
+	if left := backoff(m.rto, m.retries) - time.Since(m.since); left > 0 {
+		m.timer.Reset(left) // progress since it was armed
+		return nil
 	}
 	m.retries++
 	if m.retries > m.maxRetries {
@@ -307,23 +331,20 @@ func (m *window) HandleEvent(ctx *dacapo.Context, ev any) error {
 			}
 		}
 	}
-	m.startTimer(ctx)
+	m.since = time.Now()
+	m.timer.Reset(backoff(m.rto, m.retries))
 	return nil
 }
 
 func (m *window) Stop(ctx *dacapo.Context) error {
-	m.stopTimer()
+	if m.timer != nil {
+		m.timer.Stop()
+	}
 	for s, pkt := range m.buf {
 		dacapo.PutPacket(pkt)
 		delete(m.buf, s)
 	}
 	return nil
-}
-
-func (m *window) startTimer(ctx *dacapo.Context) {
-	m.stopTimer()
-	m.timerGen++
-	m.cancel = ctx.After(backoff(m.rto, m.retries), winTimeout{gen: m.timerGen})
 }
 
 // backoff doubles the retransmission timeout per consecutive retry (capped
@@ -335,11 +356,4 @@ func backoff(base time.Duration, retries int) time.Duration {
 		shift = 5
 	}
 	return base << uint(shift)
-}
-
-func (m *window) stopTimer() {
-	if m.cancel != nil {
-		m.cancel()
-		m.cancel = nil
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"cool/internal/bufpool"
 	"cool/internal/dacapo"
 	"cool/internal/netsim"
+	"cool/internal/transport"
 )
 
 // TestARQReleasesRetainedPacketsOnClose: irq and window keep a clone of
@@ -67,4 +68,57 @@ func ledgerHolds(leaks []string, what string) bool {
 		}
 	}
 	return false
+}
+
+// TestWindowFloodAllocBudget: a 1 KiB flood through window(16)+crc32 over
+// the in-process transport allocates nothing per message once warm. A
+// retransmission timer re-armed on every ACK costs several allocations
+// per message.
+func TestWindowFloodAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	if bufpool.DebugEnabled {
+		t.Skip("the pooldebug ledger allocates per acquisition")
+	}
+	mgr := transport.NewInprocManager()
+	l, err := mgr.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	a, err := mgr.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, rb := startStacks(t, dacapo.Spec{Modules: []dacapo.ModuleSpec{
+		{Name: "window", Args: dacapo.Args{"window": "16"}}, {Name: "crc32"},
+	}}, a, b)
+	// A run stays within the receive queue: it sends before it receives.
+	const perRun = 64
+	msg := make([]byte, 1<<10)
+	flood := func() {
+		for i := 0; i < perRun; i++ {
+			if err := ra.Send(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < perRun; i++ {
+			got, err := rb.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			transport.PutBuffer(got)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		flood() // warm the pools, the spill buffer and the window's map
+	}
+	if perMsg := testing.AllocsPerRun(50, flood) / perRun; perMsg >= 1 {
+		t.Fatalf("%.2f allocations per message in a steady window flood, want < 1", perMsg)
+	}
 }

@@ -31,6 +31,9 @@ type stage struct {
 	upQ    chan *[]*Packet
 	events chan any
 	ex     *executor
+	// roundEnd is the module's RoundEnder, resolved once; nil if it has
+	// none.
+	roundEnd RoundEnder
 }
 
 // executor describes one goroutine (or lock-holder) that runs a contiguous
@@ -82,10 +85,10 @@ type Runtime struct {
 	// the same slice until a mid-stream reconfiguration splices in a new
 	// generation direction by direction (down under sendMu, up under
 	// readMu).
-	sendMu sync.Mutex
-	readMu sync.Mutex
-	down   []*stage
-	up     []*stage
+	sendMu         sync.Mutex
+	readMu         sync.Mutex
+	down           []*stage
+	up             []*stage
 	downGen, upGen uint32
 
 	sendEx *executor
@@ -175,6 +178,7 @@ func (r *Runtime) buildStages(modules []Module) []*stage {
 			s.upQ = make(chan *[]*Packet, queueDepth)
 			s.events = make(chan any, queueDepth)
 			s.ex = &executor{}
+			s.roundEnd, _ = m.(RoundEnder)
 		}
 		stages[i] = s
 	}
@@ -698,8 +702,9 @@ func (r *Runtime) runReader() {
 
 // runPump is a blocking module's goroutine: it owns both directions and
 // the event queue of its stage and runs the inline segment below (down)
-// and above (up) run-to-completion, gathering cross-boundary emissions
-// per batch.
+// and above (up) run-to-completion. It works in rounds: a batch, the
+// batches already queued behind it, the module's round end, then one
+// flush of the round's emissions.
 //
 //coollint:hotpath module pump; run-to-completion over its inline segments
 func (r *Runtime) runPump(s *stage) {
@@ -714,118 +719,111 @@ func (r *Runtime) runPump(s *stage) {
 		// replies on the reader's behalf.
 		ctrlQ = r.ctrlQ
 	}
-	//coollint:allocok one closure per pump lifetime, not per packet
-	bail := func(err error) bool {
-		if err == nil {
-			return false
-		}
-		if !errors.Is(err, ErrStopped) {
-			r.fail(err)
-		}
-		return true
-	}
-	//coollint:allocok one closure per pump lifetime, not per packet
-	exit := func() {
-		for _, p := range pending[head:] {
-			PutPacket(p)
-		}
-		r.releaseExec(ex)
-	}
+	// The pump runs every handler of its segments, always within a round,
+	// so its executor gathers for the pump's whole life.
+	ex.gather = true
 	for {
+		var err error
 		if !ctx.downPaused && head < len(pending) {
-			p := pending[head]
-			pending[head] = nil
-			head++
+			for err == nil && !ctx.downPaused && head < len(pending) {
+				p := pending[head]
+				pending[head] = nil
+				head++
+				err = s.mod.HandleDown(ctx, p)
+			}
 			if head == len(pending) {
 				pending = pending[:0]
 				head = 0
 			}
-			ex.gather = true
-			err := s.mod.HandleDown(ctx, p)
-			if err == nil {
-				err = r.flushExec(ex)
+			err = r.endRound(s, err)
+		} else {
+			dq := s.downQ
+			if ctx.downPaused {
+				dq = nil
 			}
-			ex.gather = false
-			if bail(err) {
-				exit()
-				return
-			}
-			continue
-		}
-		dq := s.downQ
-		if ctx.downPaused {
-			dq = nil
-		}
-		select {
-		case bp := <-dq:
-			batch := *bp
-			ctx.observeBatch(len(batch))
-			ex.gather = true
-			var err error
-			for _, p := range batch {
-				switch {
-				case err != nil:
-					PutPacket(p)
-				case ctx.downPaused:
-					pending = append(pending, p) //coollint:allocok paused-intake spill buffer; bounded by queueDepth batches
-				default:
-					err = s.mod.HandleDown(ctx, p)
+			select {
+			case bp := <-dq:
+				pending, err = r.pumpRound(s, dq, bp, pending)
+				err = r.endRound(s, err)
+			case bp := <-s.upQ:
+				_, err = r.pumpRound(s, s.upQ, bp, nil)
+				err = r.endRound(s, err)
+			case ev := <-s.events:
+				if err = s.mod.HandleEvent(ctx, ev); err != nil {
+					err = fmt.Errorf("dacapo: module %s: %w", s.mod.Name(), err)
 				}
-			}
-			batchPool.Put(bp)
-			if err == nil {
-				err = r.flushExec(ex)
-			}
-			ex.gather = false
-			if bail(err) {
-				exit()
-				return
-			}
-		case bp := <-s.upQ:
-			batch := *bp
-			ctx.observeBatch(len(batch))
-			ex.gather = true
-			var err error
-			for _, p := range batch {
-				if err != nil {
-					PutPacket(p)
-					continue
+				err = r.endRound(s, err)
+			case f := <-ctrlQ:
+				if err = r.tch.WriteMessage(f); err != nil {
+					err = fmt.Errorf("dacapo: transport write: %w", err)
 				}
-				err = s.mod.HandleUp(ctx, p)
+			case <-r.stop:
+				err = ErrStopped
 			}
-			batchPool.Put(bp)
-			if err == nil {
-				err = r.flushExec(ex)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrStopped) {
+				r.fail(err)
 			}
+			for _, p := range pending[head:] {
+				PutPacket(p)
+			}
+			r.releaseExec(ex)
 			ex.gather = false
-			if bail(err) {
-				exit()
-				return
-			}
-		case ev := <-s.events:
-			ex.gather = true
-			err := s.mod.HandleEvent(ctx, ev)
-			if err != nil {
-				err = fmt.Errorf("dacapo: module %s: %w", s.mod.Name(), err)
-			} else {
-				err = r.flushExec(ex)
-			}
-			ex.gather = false
-			if bail(err) {
-				exit()
-				return
-			}
-		case f := <-ctrlQ:
-			if err := r.tch.WriteMessage(f); err != nil {
-				r.fail(fmt.Errorf("dacapo: transport write: %w", err))
-				exit()
-				return
-			}
-		case <-r.stop:
-			exit()
 			return
 		}
 	}
+}
+
+// pumpRound runs the batches of one pump round through the stage: bp,
+// then at most as many batches as were queued behind it on q when the
+// round began, so the other direction and events wait one round at most.
+// q is the stage's downQ or upQ. Down intake stops when the module
+// pauses it; the rest of that batch spills to pending, which pumpRound
+// returns.
+//
+//coollint:hotpath one pump round's intake
+func (r *Runtime) pumpRound(s *stage, q chan *[]*Packet, bp *[]*Packet, pending []*Packet) ([]*Packet, error) {
+	ctx := s.ctx
+	down := q == s.downQ
+	n := 0
+	var err error
+	for more := len(q); ; more-- {
+		n += len(*bp)
+		for _, p := range *bp {
+			switch {
+			case err != nil:
+				PutPacket(p)
+			case !down:
+				err = s.mod.HandleUp(ctx, p)
+			case ctx.downPaused:
+				pending = append(pending, p) //coollint:allocok paused-intake spill buffer; bounded by queueDepth batches
+			default:
+				err = s.mod.HandleDown(ctx, p)
+			}
+		}
+		batchPool.Put(bp)
+		if more == 0 || err != nil || (down && ctx.downPaused) {
+			break
+		}
+		bp = <-q // the pump is the queue's only receiver: the batch is there
+	}
+	ctx.observeBatch(n)
+	return pending, err
+}
+
+// endRound closes a pump round: the module's round end, then one flush of
+// everything the round gathered.
+//
+//coollint:hotpath pump round end and flush
+func (r *Runtime) endRound(s *stage, err error) error {
+	if err == nil && s.roundEnd != nil {
+		err = s.roundEnd.EndRound(s.ctx)
+	}
+	if err == nil {
+		err = r.flushExec(s.ex)
+	}
+	return err
 }
 
 func (r *Runtime) postEvent(c *Context, ev any) {
@@ -927,7 +925,8 @@ func drainRecvQ(q chan *Packet) {
 	}
 }
 
-// observeBatch records a pump-batch size against the module's histogram.
+// observeBatch records the packets of one pump round against the module's
+// histogram.
 func (c *Context) observeBatch(n int) {
 	if h := c.batchHist.Load(); h != nil {
 		h.Observe(uint64(n))

@@ -328,9 +328,10 @@ type GIOPComparison struct {
 // before the other's turn.
 const giopBlock = 10
 
-// giopOrder returns which version takes each of E2's 2n samples (0 for
-// GIOP 1.0, 1 for 9.9): blocks of at most block samples, the two versions
-// in turn, so drift of the host over the run falls on both alike.
+// giopOrder returns which of two alternatives takes each of 2n samples
+// (E2: 0 for GIOP 1.0, 1 for 9.9; E3: 0 warm, 1 fresh): blocks of at most
+// block samples, the two in turn, so drift of the host over the run falls
+// on both alike.
 func giopOrder(n, block int) []int {
 	order := make([]int, 0, 2*n)
 	for done := 0; done < n; done += block {

@@ -19,6 +19,10 @@ type NegotiationPoint struct {
 	Stats    RTStats
 }
 
+// negotiationBlock is how many consecutive E3 samples the warm and the
+// fresh scenario take in turn; a run can be as short as 10 of each.
+const negotiationBlock = 1
+
 // RunNegotiationScenarios measures E3: the cost of the Figure 3 paths.
 //
 //   - "granted (warm)": invocation on an already-negotiated binding.
@@ -48,11 +52,43 @@ func RunNegotiationScenarios(n, payload int) ([]NegotiationPoint, error) {
 	if err := obj.SetQoSParameter(granted); err != nil {
 		return nil, err
 	}
-	st, err := MeasureInvocationRT(obj, buf, n)
+
+	// The per-method scenarios run on a fresh environment.
+	env, err := NewEnv("dacapo")
 	if err != nil {
+		return nil, err
+	}
+	defer env.Close()
+
+	// Warm invocations and fresh renegotiations are sampled in alternating
+	// blocks (giopOrder), so drift of the host over the run falls on both
+	// alike. A fresh renegotiation forces a real transport reconfiguration
+	// each time: connection establishment plus Da CaPo configuration
+	// signalling (§4.1's renegotiation cost). Warm-up excludes the warm
+	// binding's connection setup, as in MeasureInvocationRT.
+	if err := Echo(obj, buf); err != nil {
 		return nil, fmt.Errorf("experiments: granted: %w", err)
 	}
-	out = append(out, NegotiationPoint{Scenario: "granted (warm)", Stats: st})
+	objs := [2]*orb.Object{obj, env.Object()}
+	names := [2]string{"granted (warm)", "per-method QoS (fresh)"}
+	var paired [2][]time.Duration
+	for _, v := range giopOrder(n, negotiationBlock) {
+		if v == 1 {
+			fresh, err := qos.NewSet(qos.Parameter{Type: qos.Throughput, Request: uint32(1000 + len(paired[1])), Max: qos.NoLimit, Min: 100})
+			if err != nil {
+				return nil, err
+			}
+			if err := objs[1].SetQoSParameter(fresh); err != nil {
+				return nil, err
+			}
+		}
+		start := time.Now()
+		if err := Echo(objs[v], buf); err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", names[v], err)
+		}
+		paired[v] = append(paired[v], time.Since(start))
+	}
+	out = append(out, NegotiationPoint{Scenario: names[0], Stats: summarize(paired[0])})
 
 	// NACK path: floor above the servant capability. Every attempt pays
 	// binding + negotiation + NACK.
@@ -77,12 +113,7 @@ func RunNegotiationScenarios(n, payload int) ([]NegotiationPoint, error) {
 	}
 	out = append(out, NegotiationPoint{Scenario: "NACK (cold)", Stats: summarize(samples)})
 
-	// Per-binding vs per-method on a fresh environment.
-	env, err := NewEnv("dacapo")
-	if err != nil {
-		return nil, err
-	}
-	defer env.Close()
+	// Per-binding vs per-method cached.
 	obj = env.Object()
 
 	perBinding, err := qos.NewSet(qos.Parameter{Type: qos.Throughput, Request: 4000, Max: qos.NoLimit, Min: 100})
@@ -92,7 +123,7 @@ func RunNegotiationScenarios(n, payload int) ([]NegotiationPoint, error) {
 	if err := obj.SetQoSParameter(perBinding); err != nil {
 		return nil, err
 	}
-	st, err = MeasureInvocationRT(obj, buf, n)
+	st, err := MeasureInvocationRT(obj, buf, n)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: per-binding: %w", err)
 	}
@@ -123,25 +154,7 @@ func RunNegotiationScenarios(n, payload int) ([]NegotiationPoint, error) {
 	}
 	out = append(out, NegotiationPoint{Scenario: "per-method QoS (cached)", Stats: summarize(samples)})
 
-	// Per-method, fresh: a different QoS on every invocation forces a real
-	// transport reconfiguration each time — connection establishment plus
-	// Da CaPo configuration signalling (§4.1's renegotiation cost).
-	samples = samples[:0]
-	for i := 0; i < n; i++ {
-		fresh, err := qos.NewSet(qos.Parameter{Type: qos.Throughput, Request: uint32(1000 + i), Max: qos.NoLimit, Min: 100})
-		if err != nil {
-			return nil, err
-		}
-		if err := obj.SetQoSParameter(fresh); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if err := Echo(obj, buf); err != nil {
-			return nil, fmt.Errorf("experiments: per-method fresh: %w", err)
-		}
-		samples = append(samples, time.Since(start))
-	}
-	out = append(out, NegotiationPoint{Scenario: "per-method QoS (fresh)", Stats: summarize(samples)})
+	out = append(out, NegotiationPoint{Scenario: names[1], Stats: summarize(paired[1])})
 	return out, nil
 }
 
