@@ -5,6 +5,7 @@ package bufpool
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"unsafe"
 )
@@ -22,7 +23,7 @@ type debugEntry struct {
 	// entry exists its address cannot be reused by a fresh allocation, so
 	// address keys stay unambiguous.
 	obj   any
-	stack string
+	stack callStack
 }
 
 // One ledger for buffers and typed objects, keyed by address.
@@ -34,10 +35,31 @@ var (
 	free = map[unsafe.Pointer]debugEntry{}
 )
 
-func debugStack() string {
-	var sb [16384]byte
-	n := runtime.Stack(sb[:], false)
-	return string(sb[:n])
+// callStack records the program counters of a Get or Put: the innermost
+// 32 frames, starting at that call. Recording formats nothing; String
+// formats the frames only for a report.
+type callStack struct {
+	pcs [32]uintptr
+	n   int
+}
+
+// callers records the stack of the Get or Put that called trackGet or
+// trackPut.
+func callers() (s callStack) {
+	s.n = runtime.Callers(3, s.pcs[:])
+	return s
+}
+
+func (s *callStack) String() string {
+	var sb strings.Builder
+	frames := runtime.CallersFrames(s.pcs[:s.n])
+	for {
+		f, more := frames.Next()
+		fmt.Fprintf(&sb, "%s\n\t%s:%d\n", f.Function, f.File, f.Line)
+		if !more {
+			return sb.String()
+		}
+	}
 }
 
 // describe names a ledger entry: a buffer by its capacity, an object by
@@ -51,9 +73,10 @@ func describe(obj any) string {
 
 // trackGet registers obj leaving its pool through Get.
 func trackGet(key unsafe.Pointer, obj any) {
+	st := callers()
 	debugMu.Lock()
 	delete(free, key)
-	live[key] = debugEntry{obj: obj, stack: debugStack()}
+	live[key] = debugEntry{obj: obj, stack: st}
 	debugMu.Unlock()
 }
 
@@ -62,11 +85,11 @@ func trackGet(key unsafe.Pointer, obj any) {
 // buffer contents. Runs before obj re-enters the sync.Pool, so neither the
 // poison nor a reset can race a legitimate re-acquisition.
 func trackPut(key unsafe.Pointer, obj any) {
-	now := debugStack()
+	now := callers()
 	debugMu.Lock()
 	if prev, ok := free[key]; ok {
 		debugMu.Unlock()
-		panic(fmt.Sprintf("bufpool: double Put of %s\n--- first release:\n%s\n--- second release:\n%s", describe(obj), prev.stack, now))
+		panic(fmt.Sprintf("bufpool: double Put of %s\n--- first release:\n%s\n--- second release:\n%s", describe(obj), prev.stack.String(), now.String()))
 	}
 	delete(live, key)
 	free[key] = debugEntry{obj: obj, stack: now}
@@ -87,7 +110,7 @@ func Leaks() []string {
 	defer debugMu.Unlock()
 	var out []string
 	for _, e := range live {
-		out = append(out, fmt.Sprintf("bufpool: leaked %s acquired at:\n%s", describe(e.obj), e.stack))
+		out = append(out, fmt.Sprintf("bufpool: leaked %s acquired at:\n%s", describe(e.obj), e.stack.String()))
 	}
 	return out
 }

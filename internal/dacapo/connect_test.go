@@ -35,6 +35,7 @@ func (p *scriptedPeer) ReadMessage() ([]byte, error) {
 	return frame, nil
 }
 
+func (p *scriptedPeer) Buffered() bool                                  { return false }
 func (p *scriptedPeer) SetQoSParameter(params qos.Set) (qos.Set, error) { return params, nil }
 func (p *scriptedPeer) Close() error                                    { p.closes++; return nil }
 func (p *scriptedPeer) LocalAddr() string                               { return "script" }

@@ -409,6 +409,10 @@ func (c *qchannel) ReadMessage() ([]byte, error) {
 	return rt.Recv()
 }
 
+// Buffered is false: no Da CaPo runtime reads a Da CaPo channel, so no
+// reader gathers rounds from one.
+func (c *qchannel) Buffered() bool { return false }
+
 func (c *qchannel) Close() error {
 	c.mu.Lock()
 	if c.closed {

@@ -220,6 +220,7 @@ func (c *pipeEnd) isClosed() bool {
 	}
 }
 
+func (c *pipeEnd) Buffered() bool                             { return false }
 func (c *pipeEnd) SetQoSParameter(p qos.Set) (qos.Set, error) { return transport.NoQoS(p) }
 func (c *pipeEnd) Close() error                               { c.once.Do(func() { close(c.done) }); return nil }
 func (c *pipeEnd) LocalAddr() string                          { return "pipe" }

@@ -67,6 +67,7 @@ func (c *hookChannel) ReadMessage() ([]byte, error) {
 	}
 }
 
+func (c *hookChannel) Buffered() bool                             { return false }
 func (c *hookChannel) SetQoSParameter(p qos.Set) (qos.Set, error) { return transport.NoQoS(p) }
 func (c *hookChannel) Close() error {
 	c.once.Do(func() { close(c.closed) })

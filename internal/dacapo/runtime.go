@@ -44,6 +44,10 @@ type stage struct {
 // batches when the run completes. All fields are owned by the executing
 // goroutine.
 type executor struct {
+	// gather makes down-direction hand-offs gather; without it a single
+	// Send hands its packet on at once. The up direction always gathers:
+	// in threaded mode only the reader and the pumps run it, and both work
+	// in rounds.
 	gather bool
 
 	// wire gathers frames bound for the transport (downSink == nil).
@@ -94,17 +98,20 @@ type Runtime struct {
 	sendEx *executor
 	readEx *executor
 
-	// scratch holds packets delivered to the application by the inline up
-	// chain, pending pickup by the Recv caller (readMu).
+	// scratch holds packets delivered to the application, pending pickup
+	// by the Recv caller (readMu): by the inline up chain, or the rest of
+	// a batch Recv took off recvQ. tornDown is set once teardown released
+	// them; a batch Recv takes afterwards is released, not kept.
 	scratch     []*Packet
 	scratchHead int
+	tornDown    bool
 
 	// wireFrames is the vectored-write scratch of the unique wire
 	// executor.
 	wireFrames [][]byte
 
-	recvQ chan *Packet // threaded mode application delivery
-	ctrlQ chan []byte  // threaded mode: reader hands control replies to the wire-owning pump
+	recvQ chan *[]*Packet // threaded mode application delivery
+	ctrlQ chan []byte     // threaded mode: reader hands control replies to the wire-owning pump
 
 	stop      chan struct{}
 	stopOnce  sync.Once
@@ -160,7 +167,7 @@ func NewRuntime(spec Spec, reg *Registry, tch transport.Channel) (*Runtime, erro
 		}
 	}
 	if r.threaded {
-		r.recvQ = make(chan *Packet, queueDepth)
+		r.recvQ = make(chan *[]*Packet, queueDepth)
 		r.ctrlQ = make(chan []byte, 4)
 	}
 	return r, nil
@@ -313,17 +320,15 @@ func (r *Runtime) upFrom(stages []*stage, i int, p *Packet, ex *executor) error 
 	}
 	s := stages[i]
 	if s.blocking {
-		if ex != nil && ex.gather {
-			ex.outUp = append(ex.outUp, p)
-			return nil
-		}
-		return r.enqueueOne(s.upQ, p)
+		ex.outUp = append(ex.outUp, p)
+		return nil
 	}
 	return s.mod.HandleUp(s.ctx, p)
 }
 
 // deliverApp hands a fully ascended packet to the application: the Recv
-// caller's scratch in inline mode, the receive queue in threaded mode.
+// caller's scratch in inline mode, the top pump's round (flushed to the
+// receive queue) in threaded mode.
 //
 //coollint:hotpath application delivery
 func (r *Runtime) deliverApp(p *Packet, ex *executor) error {
@@ -331,21 +336,8 @@ func (r *Runtime) deliverApp(p *Packet, ex *executor) error {
 		r.scratch = append(r.scratch, p)
 		return nil
 	}
-	if ex != nil && ex.gather {
-		ex.outRecv = append(ex.outRecv, p)
-		return nil
-	}
-	return r.deliverRecv(p)
-}
-
-func (r *Runtime) deliverRecv(p *Packet) error {
-	select {
-	case r.recvQ <- p:
-		return nil
-	case <-r.stop:
-		PutPacket(p)
-		return ErrStopped
-	}
+	ex.outRecv = append(ex.outRecv, p)
+	return nil
 }
 
 // enqueueOne hands a single packet across a segment boundary.
@@ -358,8 +350,7 @@ func (r *Runtime) enqueueOne(q chan *[]*Packet, p *Packet) error {
 	case q <- bp:
 		return nil
 	case <-r.stop:
-		PutPacket(p)
-		batchPool.Put(bp)
+		releaseBatch(bp)
 		return ErrStopped
 	}
 }
@@ -373,10 +364,7 @@ func (r *Runtime) enqueueBatch(q chan *[]*Packet, pkts []*Packet) error {
 	case q <- bp:
 		return nil
 	case <-r.stop:
-		for _, p := range *bp {
-			PutPacket(p)
-		}
-		batchPool.Put(bp)
+		releaseBatch(bp)
 		return ErrStopped
 	}
 }
@@ -421,13 +409,10 @@ func (r *Runtime) flushExec(ex *executor) error {
 		clearPackets(&ex.outUp)
 	}
 	if len(ex.outRecv) > 0 {
-		for i, p := range ex.outRecv {
-			ex.outRecv[i] = nil
-			if e := r.deliverRecv(p); err == nil {
-				err = e
-			}
+		if e := r.enqueueBatch(r.recvQ, ex.outRecv); err == nil {
+			err = e
 		}
-		ex.outRecv = ex.outRecv[:0]
+		clearPackets(&ex.outRecv)
 	}
 	if len(ex.wire) > 0 {
 		if e := r.flushWire(ex); err == nil {
@@ -559,25 +544,13 @@ func (r *Runtime) SendBatch(frames [][]byte) error {
 
 // Recv returns the next application payload delivered by the stack. In
 // inline mode the caller is the receive executor: it reads the transport
-// and runs the up chain run-to-completion. After shutdown it drains
-// pending packets, then returns io.EOF (peer closed) or the runtime's
-// first error.
+// and runs the up chain run-to-completion. In threaded mode it takes a
+// batch off the receive queue and hands its packets out one per call.
+// After shutdown it drains pending packets, then returns io.EOF (peer
+// closed) or the runtime's first error.
 //
 //coollint:hotpath application receive entry; runs the up chain inline
 func (r *Runtime) Recv() ([]byte, error) {
-	if r.threaded {
-		select {
-		case p := <-r.recvQ:
-			return r.detach(p), nil
-		case <-r.stop:
-			select {
-			case p := <-r.recvQ:
-				return r.detach(p), nil
-			default:
-				return nil, r.closeErr()
-			}
-		}
-	}
 	r.readMu.Lock()
 	for {
 		if p := r.takeScratch(); p != nil {
@@ -585,9 +558,41 @@ func (r *Runtime) Recv() ([]byte, error) {
 			r.readMu.Unlock()
 			return out, nil
 		}
+		if r.threaded {
+			r.readMu.Unlock()
+			bp := r.nextRecvBatch()
+			if bp == nil {
+				return nil, r.closeErr()
+			}
+			r.readMu.Lock()
+			if r.tornDown { // Close released scratch meanwhile
+				r.readMu.Unlock()
+				releaseBatch(bp)
+				return nil, r.closeErr()
+			}
+			r.scratch = append(r.scratch, *bp...) //coollint:allocok grows once to the largest delivered batch, then reused
+			batchPool.Put(bp)
+			continue
+		}
 		if err := r.recvStepLocked(); err != nil { //coollint:allow lockhold -- ctrl completion sends land in a cap-1 buffered slot with a single waiter; never blocks
 			r.readMu.Unlock()
 			return nil, r.closeErr()
+		}
+	}
+}
+
+// nextRecvBatch waits for the next delivered batch (threaded mode). After
+// stop it returns what is still queued, then nil.
+func (r *Runtime) nextRecvBatch() *[]*Packet {
+	select {
+	case bp := <-r.recvQ:
+		return bp
+	case <-r.stop:
+		select {
+		case bp := <-r.recvQ:
+			return bp
+		default:
+			return nil
 		}
 	}
 }
@@ -669,35 +674,58 @@ func (r *Runtime) detach(p *Packet) []byte {
 }
 
 // runReader pumps inbound transport messages into the bottom inline
-// segment (threaded mode only).
-//
-//coollint:hotpath threaded-mode transport reader; runs the bottom inline segment
+// segment (threaded mode only). Like a pump it works in rounds.
 func (r *Runtime) runReader() {
 	defer r.wg.Done()
-	up := r.up // threaded graphs are never respliced
 	for {
+		if err := r.readRound(r.readEx); err != nil {
+			if !errors.Is(err, ErrStopped) {
+				r.fail(err)
+			}
+			r.releaseExec(r.readEx)
+			return
+		}
+	}
+}
+
+// readRound runs one reader round: a frame, and the frames the transport
+// already holds behind it, at most queueDepth, through the bottom segment,
+// then one flush. A control frame flushes the data before it, so data and
+// control keep their order. A read error ends the round after the flush;
+// io.EOF shuts the runtime down, anything else poisons it.
+//
+//coollint:hotpath threaded-mode transport reader; runs the bottom inline segment
+func (r *Runtime) readRound(ex *executor) error {
+	up := r.up // threaded graphs are never respliced
+	for n := 0; n < queueDepth && (n == 0 || r.tch.Buffered()); n++ {
 		msg, err := r.tch.ReadMessage()
 		if err != nil {
+			if ferr := r.flushExec(ex); ferr != nil {
+				return ferr
+			}
 			r.readFailed(err)
-			return
+			return ErrStopped
 		}
 		off := 0
 		if kind, ok := ctrlKind(msg); ok {
 			if kind != ctrlEscape {
-				r.ctrlThreaded(kind, msg)
+				err = r.flushExec(ex) // the data read before it goes first
+				if err == nil {
+					r.ctrlThreaded(kind, msg)
+				}
 				transport.PutBuffer(msg)
+				if err != nil {
+					return err
+				}
 				continue
 			}
 			off = ctrlHdrLen
 		}
-		p := wrapMessage(msg, off)
-		if herr := r.upFrom(up, len(up)-1, p, r.readEx); herr != nil {
-			if !errors.Is(herr, ErrStopped) {
-				r.fail(herr)
-			}
-			return
+		if err = r.upFrom(up, len(up)-1, wrapMessage(msg, off), ex); err != nil {
+			return err
 		}
 	}
+	return r.flushExec(ex)
 }
 
 // runPump is a blocking module's goroutine: it owns both directions and
@@ -887,6 +915,7 @@ func (r *Runtime) teardown() {
 	}
 	r.scratch = r.scratch[:0]
 	r.scratchHead = 0
+	r.tornDown = true
 	r.releaseExec(r.sendEx)
 	r.releaseExec(r.readEx)
 
@@ -910,18 +939,7 @@ func (r *Runtime) teardown() {
 	stopGen(r.up)
 	r.reconfigTeardown(stopGen)
 	if r.threaded {
-		drainRecvQ(r.recvQ)
-	}
-}
-
-func drainRecvQ(q chan *Packet) {
-	for {
-		select {
-		case p := <-q:
-			PutPacket(p)
-		default:
-			return
-		}
+		drainBatchQ(r.recvQ)
 	}
 }
 
@@ -937,14 +955,19 @@ func drainBatchQ(q chan *[]*Packet) {
 	for {
 		select {
 		case bp := <-q:
-			for _, p := range *bp {
-				PutPacket(p)
-			}
-			batchPool.Put(bp)
+			releaseBatch(bp)
 		default:
 			return
 		}
 	}
+}
+
+// releaseBatch releases a batch and the packets it holds.
+func releaseBatch(bp *[]*Packet) {
+	for _, p := range *bp {
+		PutPacket(p)
+	}
+	batchPool.Put(bp)
 }
 
 // Err returns the first fatal error observed by the runtime, if any.

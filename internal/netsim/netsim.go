@@ -358,6 +358,9 @@ func (e *Endpoint) ReadMessage() ([]byte, error) {
 	}
 }
 
+// Buffered reports whether a delivered message is waiting.
+func (e *Endpoint) Buffered() bool { return len(e.in.out) > 0 }
+
 // SetQoSParameter refuses non-empty sets: the raw link has no QoS machinery;
 // Da CaPo provides it above.
 func (e *Endpoint) SetQoSParameter(params qos.Set) (qos.Set, error) {

@@ -222,13 +222,14 @@ func (o *Object) bind(ctx context.Context) (*binding, error) {
 		o.binding = b
 		return b, nil
 	}
-	conn, granted, err := o.orb.cm.get(ctx, profile, o.req) //coollint:allow lockhold -- o.mu serializes binding per proxy by design; the dial is ctx-bounded and cm.get takes no lock that can reach o.mu
+	reqKey := o.req.Key()
+	conn, granted, err := o.orb.cm.get(ctx, profile, o.req, reqKey) //coollint:allow lockhold -- o.mu serializes binding per proxy by design; the dial is ctx-bounded and cm.get takes no lock that can reach o.mu
 	if err != nil {
 		o.recordNegotiation(profile, "bind_failure", err.Error())
 		return nil, err
 	}
 	b := &binding{conn: conn, codec: codec, profile: profile, granted: granted, //coollint:allocok one binding per (re)bind, cached on the proxy
-		reqKey: o.req.Key(), reqQoS: reqQoS, qosFrag: frag}
+		reqKey: reqKey, reqQoS: reqQoS, qosFrag: frag}
 	o.binding = b
 	result := "ack"
 	if !granted.Equal(o.req) {

@@ -77,16 +77,16 @@ func (cm *connManager) cachedLocked() {
 	}
 }
 
-// get returns the client connection for a profile and QoS requirement,
-// dialing it on first use. A broken cached connection is replaced by a
-// fresh dial (counted by orb.client.redials); concurrent callers share one
-// dial.
-func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set) (*clientConn, qos.Set, error) {
+// get returns the client connection for a profile and QoS requirement
+// (reqKey is req.Key()), dialing it on first use. A broken cached
+// connection is replaced by a fresh dial (counted by orb.client.redials);
+// concurrent callers share one dial.
+func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set, reqKey string) (*clientConn, qos.Set, error) {
 	codec, err := cm.resolve(p.Protocol)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := makeConnKey(p, req.Key())
+	key := makeConnKey(p, reqKey)
 	for {
 		cm.mu.Lock()
 		if cm.closed {

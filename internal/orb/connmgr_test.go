@@ -72,7 +72,7 @@ func TestConnManagerShutdownRace(t *testing.T) {
 
 	res := make(chan error, 1)
 	go func() {
-		_, _, err := cm.get(context.Background(), profile, nil)
+		_, _, err := cm.get(context.Background(), profile, nil, "")
 		res <- err
 	}()
 	waitUntil(t, "dial to start", func() bool { return g.dialCount() == 1 })
@@ -137,7 +137,7 @@ func TestConnManagerSingleFlightDial(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, _, err := cm.get(context.Background(), profile, nil)
+			c, _, err := cm.get(context.Background(), profile, nil, "")
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -194,7 +194,7 @@ func TestConnManagerDialCancel(t *testing.T) {
 
 	owner := make(chan error, 1)
 	go func() {
-		_, _, err := cm.get(context.Background(), profile, nil)
+		_, _, err := cm.get(context.Background(), profile, nil, "")
 		owner <- err
 	}()
 	waitUntil(t, "dial to start", func() bool { return g.dialCount() == 1 })
@@ -202,7 +202,7 @@ func TestConnManagerDialCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := cm.get(ctx, profile, nil)
+		_, _, err := cm.get(ctx, profile, nil, "")
 		waiter <- err
 	}()
 	time.Sleep(5 * time.Millisecond) // let the waiter join the dial

@@ -17,8 +17,8 @@ import (
 // teardown against an in-flight flush deterministically.
 type stubChannel struct {
 	mu      sync.Mutex
-	batches []int // size of each WriteMessages call
-	frames  int   // total frames transmitted
+	batches []int         // size of each WriteMessages call
+	frames  int           // total frames transmitted
 	gate    chan struct{} // when non-nil, WriteMessages blocks until closed
 	inWrite chan struct{} // signalled once a write has started blocking
 	err     error         // returned by every write once set
@@ -45,6 +45,7 @@ func (s *stubChannel) WriteMessage(p []byte) error { return s.WriteMessages([][]
 func (s *stubChannel) ReadMessage() ([]byte, error) {
 	select {} // tests never read
 }
+func (s *stubChannel) Buffered() bool                           { return false }
 func (s *stubChannel) SetQoSParameter(qos.Set) (qos.Set, error) { return nil, nil }
 func (s *stubChannel) Close() error                             { return nil }
 func (s *stubChannel) LocalAddr() string                        { return "stub" }

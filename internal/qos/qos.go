@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -283,8 +284,16 @@ func (s Set) Key() string {
 		return ""
 	}
 	parts := make([]string, 0, len(s))
+	var b []byte
 	for _, p := range s {
-		parts = append(parts, fmt.Sprintf("%d:%d:%d:%d", p.Type, p.Request, p.Max, p.Min))
+		b = strconv.AppendUint(b[:0], uint64(p.Type), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(p.Request), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Max), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Min), 10)
+		parts = append(parts, string(b))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")

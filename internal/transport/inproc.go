@@ -109,17 +109,35 @@ func (l *inprocListener) Close() error {
 type inprocChannel struct {
 	addr  string
 	local string
-	send  chan []byte
-	recv  chan []byte
+	send  chan inprocMsg
+	recv  chan inprocMsg
 	// closed is shared between both ends; closing either end tears the
 	// connection down for both.
 	closed chan struct{}
 	once   *sync.Once
+	// batch holds the frames of a WriteMessages element the reader has
+	// not handed out yet; head indexes the next. Reader-owned.
+	batch *[][]byte
+	head  int
 }
 
+// inprocMsg is one queue element: a single frame, or the frames of one
+// WriteMessages call in a pooled holder.
+type inprocMsg struct {
+	frame []byte
+	batch *[][]byte
+}
+
+// framesPool recycles the holders of WriteMessages elements. The reset
+// drops the frame aliases: ReadMessage has handed each frame on.
+var framesPool = bufpool.NewPool(func(b *[][]byte) {
+	clear(*b)
+	*b = (*b)[:0]
+})
+
 func newInprocPair(addr string) (client, server *inprocChannel) {
-	a2b := make(chan []byte, 16)
-	b2a := make(chan []byte, 16)
+	a2b := make(chan inprocMsg, 16)
+	b2a := make(chan inprocMsg, 16)
 	closed := make(chan struct{})
 	once := &sync.Once{}
 	client = &inprocChannel{addr: addr, local: "client", send: a2b, recv: b2a, closed: closed, once: once}
@@ -138,7 +156,7 @@ func (c *inprocChannel) WriteMessage(p []byte) error {
 	// wire. The receiver takes ownership and recycles via PutBuffer.
 	msg := append(bufpool.Get(len(p)), p...)
 	select {
-	case c.send <- msg:
+	case c.send <- inprocMsg{frame: msg}:
 		return nil
 	case <-c.closed:
 		bufpool.Put(msg)
@@ -146,31 +164,75 @@ func (c *inprocChannel) WriteMessage(p []byte) error {
 	}
 }
 
-// WriteMessages queues the frames one by one: a queue hand-off has no
-// carrier operation to share.
+// WriteMessages queues the copied frames as one element, so a batch costs
+// one queue hand-off and the reader finds the rest Buffered.
 func (c *inprocChannel) WriteMessages(frames [][]byte) error {
-	for _, p := range frames {
-		if err := c.WriteMessage(p); err != nil {
-			return err
-		}
+	switch len(frames) {
+	case 0:
+		return nil
+	case 1:
+		return c.WriteMessage(frames[0])
 	}
-	return nil
+	select {
+	case <-c.closed:
+		return ErrClosed
+	default:
+	}
+	h := framesPool.Get()
+	for _, p := range frames {
+		*h = append(*h, append(bufpool.Get(len(p)), p...)) //coollint:owner the holder keeps the copy until ReadMessage hands it out
+	}
+	select {
+	case c.send <- inprocMsg{batch: h}:
+		return nil
+	case <-c.closed:
+		for _, f := range *h {
+			bufpool.Put(f)
+		}
+		framesPool.Put(h)
+		return ErrClosed
+	}
 }
 
 func (c *inprocChannel) ReadMessage() ([]byte, error) {
+	if c.batch != nil {
+		return c.nextFrame(), nil
+	}
+	var m inprocMsg
 	select {
-	case msg := <-c.recv:
-		return msg, nil
+	case m = <-c.recv:
 	case <-c.closed:
 		// Drain messages queued before close so in-flight replies are not
 		// lost on graceful shutdown.
 		select {
-		case msg := <-c.recv:
-			return msg, nil
+		case m = <-c.recv:
 		default:
 			return nil, io.EOF
 		}
 	}
+	if m.batch == nil {
+		return m.frame, nil
+	}
+	c.batch, c.head = m.batch, 0
+	return c.nextFrame(), nil
+}
+
+// nextFrame hands out the next frame of the current batch element and
+// recycles the holder after its last.
+func (c *inprocChannel) nextFrame() []byte {
+	b := *c.batch
+	f := b[c.head]
+	c.head++
+	if c.head == len(b) {
+		framesPool.Put(c.batch)
+		c.batch = nil
+	}
+	return f
+}
+
+// Buffered reports a partly read batch element or a queued element.
+func (c *inprocChannel) Buffered() bool {
+	return c.batch != nil || len(c.recv) > 0
 }
 
 func (c *inprocChannel) SetQoSParameter(params qos.Set) (qos.Set, error) {

@@ -213,6 +213,14 @@ func (c *tcpChannel) ReadMessage() ([]byte, error) {
 	return p, nil
 }
 
+// Buffered reports whether the staging buffer holds a complete frame.
+func (c *tcpChannel) Buffered() bool {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	n := c.rlen - c.rpos
+	return n >= 4 && uint64(binary.BigEndian.Uint32(c.rbuf[c.rpos:]))+4 <= uint64(n)
+}
+
 func (c *tcpChannel) SetQoSParameter(params qos.Set) (qos.Set, error) {
 	return NoQoS(params)
 }

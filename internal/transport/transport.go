@@ -75,14 +75,21 @@ type Channel interface {
 	WriteMessage(p []byte) error
 	// WriteMessages sends the frames back to back, framed exactly as if
 	// written one by one, in as few carrier operations as the transport
-	// manages (TCP: one vectored write). An empty batch is a no-op. After
-	// an error some frames may have been transmitted; the connection is
-	// broken, as after a failed WriteMessage.
+	// manages (TCP: one vectored write; inproc: one queue element). An
+	// empty batch is a no-op. After an error some frames may have been
+	// transmitted; the connection is broken, as after a failed
+	// WriteMessage.
 	WriteMessages(frames [][]byte) error
 	// ReadMessage receives the next message. It returns io.EOF after the
 	// peer closed the connection. The returned buffer is owned by the
 	// caller; recycle with PutBuffer when done.
 	ReadMessage() ([]byte, error)
+	// Buffered reports whether ReadMessage can return a message without
+	// waiting for the peer: one already sits in the transport's queue or
+	// read buffer. Only the reader calls it. A reader that hands messages
+	// on in rounds reads on while it holds; false is always safe, it only
+	// ends the round.
+	Buffered() bool
 	// SetQoSParameter performs the unilateral QoS negotiation between the
 	// message layer and the transport (§4.3): the transport maps the
 	// parameters onto its configuration and resources and returns the
