@@ -547,7 +547,9 @@ func (r *Runtime) SendBatch(frames [][]byte) error {
 // and runs the up chain run-to-completion. In threaded mode it takes a
 // batch off the receive queue and hands its packets out one per call.
 // After shutdown it drains pending packets, then returns io.EOF (peer
-// closed) or the runtime's first error.
+// closed) or the runtime's first error. Recv takes one caller at a time,
+// as Channel.ReadMessage does: two threaded callers waiting at once may
+// each take a batch and queue them out of order.
 //
 //coollint:hotpath application receive entry; runs the up chain inline
 func (r *Runtime) Recv() ([]byte, error) {

