@@ -34,7 +34,6 @@ import (
 	"cool/internal/dacapo"
 	"cool/internal/dacapo/modules"
 	"cool/internal/ior"
-	"cool/internal/naming"
 	"cool/internal/netsim"
 	"cool/internal/orb"
 	"cool/internal/qos"
@@ -197,17 +196,3 @@ func EnableDaCaPo(o *ORB, cfg DaCaPoConfig) *dacapo.Manager {
 	o.Transports().Register(m)
 	return m
 }
-
-// Naming service access.
-type (
-	// NamingServant is the naming service implementation.
-	NamingServant = naming.Servant
-	// NamingClient is the typed naming service stub.
-	NamingClient = naming.Client
-)
-
-// NewNamingServant returns an empty naming context to register with an ORB.
-func NewNamingServant() *NamingServant { return naming.NewServant() }
-
-// NewNamingClient wraps a resolved naming service object.
-func NewNamingClient(obj *Object) *NamingClient { return naming.NewClient(obj) }

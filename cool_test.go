@@ -1,7 +1,6 @@
 package cool_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -99,38 +98,6 @@ func TestParseRefErrors(t *testing.T) {
 	ref := cool.Ref{TypeID: "IDL:x/Y:1.0"}
 	if s := cool.RefString(ref); !strings.HasPrefix(s, "IOR:") {
 		t.Fatalf("RefString = %q", s)
-	}
-}
-
-func TestNamingThroughFacade(t *testing.T) {
-	inner := transport.NewInprocManager()
-	server := cool.NewORB(cool.WithName("ns"), cool.WithTransport(inner))
-	client := cool.NewORB(cool.WithName("app"), cool.WithTransport(inner))
-	defer client.Shutdown()
-	defer server.Shutdown()
-	if _, err := server.ListenOn("inproc", ""); err != nil {
-		t.Fatal(err)
-	}
-	nsRef, err := server.RegisterServant(cool.NewNamingServant())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ns := cool.NewNamingClient(client.Resolve(nsRef))
-	want := cool.Ref{TypeID: "IDL:facade/Test:1.0"}
-	if err := ns.Bind("svc/test", want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ns.Resolve("svc/test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TypeID != want.TypeID {
-		t.Fatalf("resolved %+v", got)
-	}
-	if _, err := ns.Resolve("absent"); err == nil {
-		t.Fatal("expected NotFound")
-	} else if !errors.Is(err, err) { // sanity: err is usable with errors
-		t.Fatal("unreachable")
 	}
 }
 

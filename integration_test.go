@@ -13,7 +13,6 @@ import (
 	"cool/internal/dacapo"
 	"cool/internal/dacapo/modules"
 	"cool/internal/leakcheck"
-	"cool/internal/naming"
 	"cool/internal/netsim"
 	"cool/internal/orb"
 	"cool/internal/qos"
@@ -55,7 +54,7 @@ func (m *mediaImpl) Hint(uint32) {}
 
 // TestFullSystemOverSimulatedWAN wires every subsystem together: two ORBs
 // whose Da CaPo transports run over a simulated 10 Mbit/s WAN with real
-// propagation delay and jitter; the naming service bootstraps the
+// propagation delay and jitter; a stringified IOR bootstraps the
 // reference; chic-generated stubs carry QoS-negotiated invocations.
 func TestFullSystemOverSimulatedWAN(t *testing.T) {
 	leakcheck.Check(t)
@@ -84,11 +83,6 @@ func TestFullSystemOverSimulatedWAN(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Naming service + media server on the same ORB.
-	nsRef, err := server.RegisterServant(naming.NewServant())
-	if err != nil {
-		t.Fatal(err)
-	}
 	mediaRef, err := server.RegisterServant(
 		mediagen.NewMediaServerSkeleton(&mediaImpl{frames: 16}),
 		cool.WithCapability(qos.Unconstrained()),
@@ -97,12 +91,9 @@ func TestFullSystemOverSimulatedWAN(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bootstrap through the naming service like a real deployment.
-	ns := naming.NewClient(client.Resolve(nsRef))
-	if err := ns.Bind("media/main", mediaRef); err != nil {
-		t.Fatal(err)
-	}
-	resolved, err := ns.Resolve("media/main")
+	// Bootstrap from the stringified reference, as a client handed an
+	// IOR out of band would.
+	resolved, err := cool.ParseRef(cool.RefString(mediaRef))
 	if err != nil {
 		t.Fatal(err)
 	}

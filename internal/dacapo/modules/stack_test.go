@@ -14,10 +14,10 @@ import (
 	"cool/internal/transport"
 )
 
-// hookChannel is an in-memory transport pair whose a->b direction passes
+// tapChannel is an in-memory transport pair whose a->b direction passes
 // through a transform hook, letting tests corrupt, drop or duplicate wire
 // frames deterministically.
-type hookChannel struct {
+type tapChannel struct {
 	send   chan<- []byte
 	recv   <-chan []byte
 	hook   func([]byte) [][]byte // nil = identity
@@ -30,11 +30,11 @@ func newHookedPair(hook func([]byte) [][]byte) (a, b transport.Channel) {
 	b2a := make(chan []byte, 1024)
 	closed := make(chan struct{})
 	once := &sync.Once{}
-	return &hookChannel{send: a2b, recv: b2a, hook: hook, closed: closed, once: once},
-		&hookChannel{send: b2a, recv: a2b, hook: nil, closed: closed, once: once}
+	return &tapChannel{send: a2b, recv: b2a, hook: hook, closed: closed, once: once},
+		&tapChannel{send: b2a, recv: a2b, hook: nil, closed: closed, once: once}
 }
 
-func (c *hookChannel) WriteMessage(p []byte) error {
+func (c *tapChannel) WriteMessage(p []byte) error {
 	frames := [][]byte{append([]byte(nil), p...)}
 	if c.hook != nil {
 		frames = c.hook(frames[0])
@@ -49,7 +49,7 @@ func (c *hookChannel) WriteMessage(p []byte) error {
 	return nil
 }
 
-func (c *hookChannel) WriteMessages(frames [][]byte) error {
+func (c *tapChannel) WriteMessages(frames [][]byte) error {
 	for _, p := range frames {
 		if err := c.WriteMessage(p); err != nil {
 			return err
@@ -58,7 +58,7 @@ func (c *hookChannel) WriteMessages(frames [][]byte) error {
 	return nil
 }
 
-func (c *hookChannel) ReadMessage() ([]byte, error) {
+func (c *tapChannel) ReadMessage() ([]byte, error) {
 	select {
 	case m := <-c.recv:
 		return m, nil
@@ -67,14 +67,14 @@ func (c *hookChannel) ReadMessage() ([]byte, error) {
 	}
 }
 
-func (c *hookChannel) Buffered() bool                             { return false }
-func (c *hookChannel) SetQoSParameter(p qos.Set) (qos.Set, error) { return transport.NoQoS(p) }
-func (c *hookChannel) Close() error {
+func (c *tapChannel) Buffered() bool                             { return false }
+func (c *tapChannel) SetQoSParameter(p qos.Set) (qos.Set, error) { return transport.NoQoS(p) }
+func (c *tapChannel) Close() error {
 	c.once.Do(func() { close(c.closed) })
 	return nil
 }
-func (c *hookChannel) LocalAddr() string  { return "hook:a" }
-func (c *hookChannel) RemoteAddr() string { return "hook:b" }
+func (c *tapChannel) LocalAddr() string  { return "hook:a" }
+func (c *tapChannel) RemoteAddr() string { return "hook:b" }
 
 func startStacks(t testing.TB, spec dacapo.Spec, a, b transport.Channel) (*dacapo.Runtime, *dacapo.Runtime) {
 	t.Helper()

@@ -9,7 +9,9 @@
 package leakcheck
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -22,28 +24,60 @@ import (
 // own failure-path test does not have to wait it out.
 var grace = 15 * time.Second
 
-// Check snapshots the running goroutine count and registers a cleanup
-// that fails the test if the count has not returned to the baseline once
-// all other cleanups (including ORB Shutdown) have run.
+// Check records the goroutines running now and registers a cleanup that
+// fails the test if a goroutine started since is still running once all
+// other cleanups (including ORB Shutdown) have run. Goroutine ids are never
+// reused, so a goroutine of an earlier test that is still exiting can
+// neither hide a leak nor be reported as one.
 func Check(t testing.TB) {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	_, before := stacks()
 	t.Cleanup(func() {
-		var after int
 		deadline := time.Now().Add(grace)
 		for {
-			after = runtime.NumGoroutine()
-			if after <= before {
+			var leaked []string
+			self, now := stacks()
+			for id, stack := range now {
+				if _, ok := before[id]; !ok && id != self {
+					leaked = append(leaked, stack)
+				}
+			}
+			if len(leaked) == 0 {
 				return
 			}
 			if time.Now().After(deadline) {
-				break
+				t.Errorf("leakcheck: %d goroutines still running after shutdown that were not running at test start\n%s",
+					len(leaked), strings.Join(leaked, "\n\n"))
+				return
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		t.Errorf("leakcheck: %d goroutines still running after shutdown, %d at test start\n%s",
-			after, before, buf)
 	})
+}
+
+// stacks returns the stack of every goroutine keyed by goroutine id, and
+// the id of the caller's.
+func stacks() (self uint64, all map[uint64]string) {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	blocks := strings.Split(string(buf), "\n\n")
+	all = make(map[uint64]string, len(blocks))
+	for i, b := range blocks {
+		var id uint64
+		if _, err := fmt.Sscanf(b, "goroutine %d ", &id); err != nil {
+			continue
+		}
+		if i == 0 { // runtime.Stack puts the caller first
+			self = id
+		}
+		all[id] = b
+	}
+	return self, all
 }

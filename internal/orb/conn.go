@@ -57,6 +57,7 @@ type clientConn struct {
 	codec   Codec
 	granted qos.Set
 	ins     *instruments // may be nil in unit tests
+	conns   *schemeConns // counts the channel closed at teardown; nil in unit tests
 	w       *frameWriter
 	limit   int // max in-flight registrations (maxInFlight outside tests)
 
@@ -75,12 +76,13 @@ type clientConn struct {
 	done    chan struct{}
 }
 
-func newClientConn(ch transport.Channel, codec Codec, granted qos.Set, ins *instruments, limit int) *clientConn {
+func newClientConn(ch transport.Channel, codec Codec, granted qos.Set, ins *instruments, conns *schemeConns, limit int) *clientConn {
 	c := &clientConn{
 		ch:      ch,
 		codec:   codec,
 		granted: granted,
 		ins:     ins,
+		conns:   conns,
 		limit:   limit,
 		pending: make(map[uint32]*replySlot),
 		done:    make(chan struct{}),
@@ -189,6 +191,9 @@ func (c *clientConn) teardown(err error) {
 	close(c.done)
 	c.w.fail(err)
 	c.ch.Close()
+	if c.conns != nil {
+		c.conns.close()
+	}
 }
 
 func (c *clientConn) close() { c.teardown(errConnClosed) }

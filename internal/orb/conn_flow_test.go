@@ -34,7 +34,7 @@ func newTestConn(t *testing.T, limit int) *clientConn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := newClientConn(ch, GIOPCodec{}, nil, nil, limit)
+	conn := newClientConn(ch, GIOPCodec{}, nil, nil, nil, limit)
 	t.Cleanup(conn.close)
 	return conn
 }

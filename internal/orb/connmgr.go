@@ -50,7 +50,7 @@ type dialCall struct {
 // invocation layer never touches transport managers directly.
 type connManager struct {
 	registry *transport.Registry
-	ins      *instruments // may be nil in unit tests
+	ins      *instruments
 	resolve  func(protocol string) (Codec, error)
 
 	mu      sync.Mutex
@@ -72,9 +72,7 @@ func newConnManager(registry *transport.Registry, ins *instruments, resolve func
 // cachedLocked publishes the cache size to the conns_cached gauge. Caller
 // holds cm.mu.
 func (cm *connManager) cachedLocked() {
-	if cm.ins != nil {
-		cm.ins.connsCached.Set(int64(len(cm.conns)))
-	}
+	cm.ins.connsCached.Set(int64(len(cm.conns)))
 }
 
 // get returns the client connection for a profile and QoS requirement
@@ -103,9 +101,7 @@ func (cm *connManager) get(ctx context.Context, p ior.Profile, req qos.Set, reqK
 			// (counted even when that dial needs backoff retries to land).
 			delete(cm.conns, key)
 			cm.cachedLocked()
-			if cm.ins != nil {
-				cm.ins.redials.Inc()
-			}
+			cm.ins.redials.Inc()
 		}
 		if call := cm.dialing[key]; call != nil {
 			cm.mu.Unlock()
@@ -159,8 +155,10 @@ func (cm *connManager) dial(ctx context.Context, codec Codec, p ior.Profile, req
 	if err != nil {
 		return nil, nil, err
 	}
+	conns := cm.ins.conns(p.Transport)
 	ch, err := transport.DialContext(ctx, mgr, p.Address)
 	if err != nil {
+		conns.failed.Inc()
 		err = fmt.Errorf("orb: dial %s://%s: %w", p.Transport, p.Address, err)
 		if ctx.Err() == nil {
 			// Nothing reached the peer: safe to retry with backoff.
@@ -168,6 +166,7 @@ func (cm *connManager) dial(ctx context.Context, codec Codec, p ior.Profile, req
 		}
 		return nil, nil, err
 	}
+	conns.open()
 	// Unilateral QoS negotiation between message layer and transport.
 	granted, err := ch.SetQoSParameter(req)
 	if err != nil {
@@ -178,10 +177,11 @@ func (cm *connManager) dial(ctx context.Context, codec Codec, p ior.Profile, req
 		}
 		if err != nil {
 			ch.Close()
+			conns.close()
 			return nil, nil, err
 		}
 	}
-	return newClientConn(ch, codec, granted, cm.ins, maxInFlight), granted, nil
+	return newClientConn(ch, codec, granted, cm.ins, conns, maxInFlight), granted, nil
 }
 
 // drop removes and closes a cached client connection (used after a QoS

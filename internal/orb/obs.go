@@ -85,6 +85,18 @@ type serverOp struct {
 	spanName string // "server:" + op
 }
 
+// schemeConns holds one transport scheme's transport.conns.* handles,
+// resolved once so that dial, accept and teardown compose no metric name.
+type schemeConns struct {
+	opened, closed, failed *obs.Counter
+	active                 *obs.Gauge
+}
+
+func (c *schemeConns) open() { c.opened.Inc(); c.active.Inc() }
+
+// close counts one channel closed; each channel's owner calls it once.
+func (c *schemeConns) close() { c.closed.Inc(); c.active.Dec() }
+
 // instruments bundles the ORB's metric handles. One instance per ORB,
 // created in New; all methods are safe for concurrent use.
 type instruments struct {
@@ -96,6 +108,7 @@ type instruments struct {
 	serverOps map[string]*serverOp
 	excs      map[string]*obs.Counter
 	qos       map[string]*obs.Counter
+	schemes   map[string]*schemeConns
 
 	// GIOP message counters, indexed by MsgType (7 kinds).
 	inMsgs, inBytes, outMsgs, outBytes [int(giop.MsgMessageError) + 1]*obs.Counter
@@ -142,6 +155,7 @@ func newInstruments() *instruments {
 		serverOps: make(map[string]*serverOp),
 		excs:      make(map[string]*obs.Counter),
 		qos:       make(map[string]*obs.Counter),
+		schemes:   make(map[string]*schemeConns),
 	}
 	for t := giop.MsgRequest; t <= giop.MsgMessageError; t++ {
 		label := "{type=" + t.String() + "}"
@@ -322,6 +336,25 @@ func (ins *instruments) newQoSOutcome(key string) *obs.Counter {
 	if !ok {
 		c = ins.reg.Counter(key)
 		ins.qos[key] = c
+	}
+	return c
+}
+
+// conns returns a transport scheme's connection handles, registering them
+// on first sight. It runs once per dial or listener, never per message.
+func (ins *instruments) conns(scheme string) *schemeConns {
+	ins.mu.Lock()
+	defer ins.mu.Unlock()
+	c := ins.schemes[scheme]
+	if c == nil {
+		l := "{scheme=" + scheme + "}"
+		c = &schemeConns{
+			opened: ins.reg.Counter("transport.conns.opened" + l),
+			closed: ins.reg.Counter("transport.conns.closed" + l),
+			failed: ins.reg.Counter("transport.conns.failed" + l),
+			active: ins.reg.Gauge("transport.conns.active" + l),
+		}
+		ins.schemes[scheme] = c
 	}
 	return c
 }

@@ -135,19 +135,6 @@ func New(opts ...Option) *ORB {
 		codecs:   map[string]Codec{"giop": GIOPCodec{}},
 		ins:      newInstruments(),
 	}
-	o.registry.SetHooks(&transport.Hooks{
-		Opened: func(scheme string) {
-			o.ins.reg.Counter("transport.conns.opened{scheme=" + scheme + "}").Inc()
-			o.ins.reg.Gauge("transport.conns.active{scheme=" + scheme + "}").Inc()
-		},
-		Closed: func(scheme string) {
-			o.ins.reg.Counter("transport.conns.closed{scheme=" + scheme + "}").Inc()
-			o.ins.reg.Gauge("transport.conns.active{scheme=" + scheme + "}").Dec()
-		},
-		Failed: func(scheme string) {
-			o.ins.reg.Counter("transport.conns.failed{scheme=" + scheme + "}").Inc()
-		},
-	})
 	for _, opt := range opts {
 		opt.apply(o)
 	}
@@ -213,7 +200,7 @@ func (o *ORB) ListenOnProtocol(scheme, addr, protocol string) (string, error) {
 
 	o.workerStart.Do(o.startDispatchers)
 	o.wg.Add(1)
-	go o.acceptLoop(l, codec)
+	go o.acceptLoop(l, codec, o.ins.conns(scheme))
 	return l.Addr(), nil
 }
 

@@ -17,12 +17,16 @@ import (
 	"cool/internal/transport"
 )
 
-// acceptLoop serves one listener until shutdown.
-func (o *ORB) acceptLoop(l transport.Listener, codec Codec) {
+// acceptLoop serves one listener until shutdown. A failed accept counts
+// unless the listener itself was closed.
+func (o *ORB) acceptLoop(l transport.Listener, codec Codec, conns *schemeConns) {
 	defer o.wg.Done()
 	for {
 		ch, err := l.Accept()
 		if err != nil {
+			if !errors.Is(err, transport.ErrClosed) {
+				conns.failed.Inc()
+			}
 			if o.isShutdown() {
 				return
 			}
@@ -30,8 +34,9 @@ func (o *ORB) acceptLoop(l transport.Listener, codec Codec) {
 			// must not stop the endpoint.
 			continue
 		}
+		conns.open()
 		o.wg.Add(1)
-		go o.serveConn(ch, codec)
+		go o.serveConn(ch, codec, conns)
 	}
 }
 
@@ -118,8 +123,11 @@ func (o *ORB) startDispatchers() {
 // allocation); everything else goes to the bounded worker pool, spilling
 // into a fresh goroutine when the pool is saturated so a slow servant can
 // never stall the read loop (cancellation depends on it staying live).
-func (o *ORB) serveConn(ch transport.Channel, codec Codec) {
+// The channel counts closed once, when this loop exits, however often
+// Shutdown and the writer close it.
+func (o *ORB) serveConn(ch transport.Channel, codec Codec, conns *schemeConns) {
 	defer o.wg.Done()
+	defer conns.close()
 	defer ch.Close()
 	// One context per connection, cancelled by Shutdown (after the drain
 	// deadline expires) or when this serve loop exits; servants observe it

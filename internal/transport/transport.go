@@ -155,7 +155,6 @@ func DialContext(ctx context.Context, m Manager, addr string) (Channel, error) {
 type Registry struct {
 	mu       sync.RWMutex
 	managers map[string]Manager
-	hooks    *Hooks
 }
 
 // NewRegistry returns a registry containing the given managers.
@@ -185,21 +184,7 @@ func (r *Registry) Get(scheme string) (Manager, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, scheme)
 	}
-	if r.hooks != nil {
-		return hookManager{Manager: m, hooks: r.hooks}, nil
-	}
 	return m, nil
-}
-
-// Schemes lists the registered scheme names (unordered).
-func (r *Registry) Schemes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.managers))
-	for s := range r.managers {
-		out = append(out, s)
-	}
-	return out
 }
 
 // NoQoS is a helper for transports without QoS support: it grants the empty

@@ -44,19 +44,6 @@ func dialPair(t *testing.T, m transport.Manager) (a, b transport.Channel) {
 	return a, r.ch
 }
 
-// hooked returns m as a Registry with lifecycle hooks hands it out: every
-// channel it dials or accepts is wrapped in the hook decorator.
-func hooked(t *testing.T, m transport.Manager) transport.Manager {
-	t.Helper()
-	reg := transport.NewRegistry(m)
-	reg.SetHooks(&transport.Hooks{})
-	hm, err := reg.Get(m.Scheme())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return hm
-}
-
 // TestWriteMessagesConformance pins the batched half of the Channel
 // contract on every implementation: a batch arrives as exactly the
 // messages WriteMessage would have produced, frames are only borrowed, an
@@ -65,7 +52,6 @@ func TestWriteMessagesConformance(t *testing.T) {
 	pairs := map[string]func(t *testing.T) (a, b transport.Channel){
 		"tcp":    func(t *testing.T) (a, b transport.Channel) { return dialPair(t, transport.NewTCPManager()) },
 		"inproc": func(t *testing.T) (a, b transport.Channel) { return dialPair(t, transport.NewInprocManager()) },
-		"hooked": func(t *testing.T) (a, b transport.Channel) { return dialPair(t, hooked(t, transport.NewTCPManager())) },
 		"netsim": func(t *testing.T) (a, b transport.Channel) {
 			link := netsim.NewLink(netsim.Loopback())
 			t.Cleanup(link.Close)
@@ -161,52 +147,5 @@ func TestWriteMessagesConformance(t *testing.T) {
 				t.Error("WriteMessage after Close succeeded")
 			}
 		})
-	}
-}
-
-// batchRecorder notes the size of every batch that reaches the channel it
-// wraps.
-type batchRecorder struct {
-	transport.Channel
-	batches []int
-}
-
-func (r *batchRecorder) WriteMessages(frames [][]byte) error {
-	r.batches = append(r.batches, len(frames))
-	return r.Channel.WriteMessages(frames)
-}
-
-// recordingManager wraps every dialled channel in a batchRecorder.
-type recordingManager struct {
-	transport.Manager
-	dialled *batchRecorder
-}
-
-func (m *recordingManager) Dial(addr string) (transport.Channel, error) {
-	ch, err := m.Manager.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	m.dialled = &batchRecorder{Channel: ch}
-	return m.dialled, nil
-}
-
-// TestHookedChannelKeepsBatches: the hook decorator must hand a batch to
-// the transport as one WriteMessages call, not unroll it into per-frame
-// writes — the ORB's flush coalescing depends on it whenever hooks are
-// installed, which on an ORB is always.
-func TestHookedChannelKeepsBatches(t *testing.T) {
-	rec := &recordingManager{Manager: transport.NewInprocManager()}
-	a, b := dialPair(t, hooked(t, rec))
-	if err := a.WriteMessages([][]byte{[]byte("x"), []byte("y"), []byte("z")}); err != nil {
-		t.Fatal(err)
-	}
-	for range 3 {
-		if _, err := b.ReadMessage(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := rec.dialled.batches; len(got) != 1 || got[0] != 3 {
-		t.Fatalf("transport saw batches %v, want one batch of 3", got)
 	}
 }
